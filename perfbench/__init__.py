@@ -1,0 +1,2 @@
+"""Benchmark of the yulesimon package: four workloads, end-to-end and per-layer
+metrics.  Entry point: ``python3 perfbench/run.py``; see ``README.md``."""
