@@ -6,13 +6,8 @@ the KL-worth loss-based prior on a discretized parameter space), MCMC
 posterior samplers with an exact-enumeration oracle, a frequentist
 validation harness, and data pipelines for frequency-table and
 daily-return applications.
-
-Hot kernels run on a compiled extension when available; set
-``YULESIMON_PURE_PYTHON=1`` to force the numpy fallback (see
-``backend_name()``).
 """
 
-from ._backend import backend_name
 from .controls import QuadratureControl, SeriesControl
 from .data import (
     CountTable,
@@ -87,6 +82,16 @@ from .special import (
 )
 
 __version__ = "0.1.0"
+
+
+def backend_name() -> str:
+    """Always ``"python"``: all numerics run on numpy and scipy.
+
+    Kept because benchmark records carry this name and two records are
+    compared only when it matches.
+    """
+    return "python"
+
 
 __all__ = [
     "backend_name",

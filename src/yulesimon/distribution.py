@@ -19,7 +19,6 @@ from typing import Iterable, Sequence
 import numpy as np
 from scipy.special import gammaln
 
-from ._backend import kernels
 from .special import log_gamma_ratio
 
 __all__ = [
@@ -176,4 +175,6 @@ def sample(alpha: float, n: int, seed: int) -> np.ndarray:
 def log_likelihood(data: FrequencySample, alpha: float) -> float:
     """Sum over entries of count * log_pmf(k, alpha)."""
     alpha = _check_alpha(alpha)
-    return float(kernels.log_likelihood_sum(data.values, data.multiplicities, alpha))
+    c = 1.0 / (1.0 - alpha)
+    log_beta = gammaln(data.values) + gammaln(c + 1.0) - gammaln(data.values + c + 1.0)
+    return float(np.dot(data.multiplicities, np.log(c) + log_beta))

@@ -19,6 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .distribution import FrequencySample, sample
+from .errors import NumericError
 from .inference import (
     Chain,
     McmcConfig,
@@ -150,7 +151,7 @@ def _run_task(args) -> tuple[int, int, PosteriorSummary | None]:
     data_seed, chain_seed = _replicate_seeds(master_seed, alpha_idx, rep_idx)
     try:
         summary = _fit_one(alpha_true, n, data_seed, chain_seed, mcmc, prior)
-    except Exception:
+    except NumericError:
         return alpha_idx, rep_idx, None
     return alpha_idx, rep_idx, summary
 
@@ -168,8 +169,9 @@ def run_coverage_study(cfg: StudyConfig, workers: int | None = None) -> StudyRes
     generated and fitted; coverage is the fraction of replicates whose
     [0.025, 0.975] interval contains the truth, and rel_rmse is
     sqrt(MSE)/alpha computed from the posterior means (and, in the second
-    column, medians).  Replicates that fail numerically are counted in the
-    ``failures`` column instead of aborting the study.
+    column, medians).  Replicates that fail numerically (``NumericError``)
+    are counted in the ``failures`` column instead of aborting the study;
+    any other exception propagates.
 
     Replicates execute concurrently up to ``workers`` (default: machine
     parallelism); output is independent of the worker count.

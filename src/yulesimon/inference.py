@@ -127,9 +127,14 @@ def sample_posterior_continuous(
         log_u = np.log(rng.random(cfg.iterations))
 
     def log_target(x: float) -> float:
+        # Proposals whose alpha is not strictly inside (0, 1) in floating
+        # point have zero target density: math.exp overflows past |x| ~ 709.8,
+        # and alpha rounds to exactly 1.0 once x exceeds about 36.7.
+        if abs(x) > 700.0:
+            return -math.inf
         alpha = 1.0 / (1.0 + math.exp(-x))
         complement = 1.0 / (1.0 + math.exp(x))  # 1 - alpha without rounding loss
-        if alpha <= 0.0 or complement <= 0.0:
+        if alpha >= 1.0:
             return -math.inf
         return (
             log_likelihood(data, alpha)

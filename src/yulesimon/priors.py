@@ -30,11 +30,10 @@ import numpy as np
 from scipy.special import gammaln, polygamma
 from scipy.special import digamma as _psi
 
-from ._backend import kernels
 from .controls import QuadratureControl, SeriesControl
 from .distribution import _check_alpha
 from .errors import NumericError, SeriesConvergenceError
-from .special import integrate_unit_interval, log_gamma_ratio
+from .special import hyp3f2_unit_excess, integrate_unit_interval, log_gamma_ratio
 
 __all__ = [
     "fisher_information",
@@ -58,15 +57,7 @@ _DEFAULT_SERIES = SeriesControl()
 def _radicand(alpha: float, ctrl: SeriesControl) -> float:
     """(3-alpha)(1-alpha) - F1, all over (2-alpha)^2; equals 1 - F/(2-alpha)^2."""
     c = 1.0 / (1.0 - alpha)
-    f1, terms, tail, converged = kernels.hyp3f2_series(
-        c + 1.0, c + 2.0, ctrl.rel_tol, ctrl.max_terms
-    )
-    if not converged:
-        raise SeriesConvergenceError(
-            f"3F2 series did not converge within {ctrl.max_terms} terms at alpha={alpha}",
-            estimate=1.0 + f1,
-            error_bound=tail,
-        )
+    f1 = hyp3f2_unit_excess(c + 1.0, c + 2.0, ctrl)
     rad = ((3.0 - alpha) * (1.0 - alpha) - f1) / ((2.0 - alpha) * (2.0 - alpha))
     if rad <= 0.0:
         # Provably positive on (0, 1); a nonpositive value means rounding at

@@ -19,7 +19,6 @@ import numpy as np
 import scipy.integrate
 import scipy.special
 
-from ._backend import kernels
 from .controls import QuadratureControl, SeriesControl
 from .errors import QuadratureError, SeriesConvergenceError
 
@@ -109,6 +108,9 @@ def trigamma(x: float) -> float:
     return float(scipy.special.polygamma(1, _require_positive("x", x)))
 
 
+_SERIES_BLOCK = 4096
+
+
 def hyp3f2_unit_excess(a: float, b: float, ctrl: SeriesControl = SeriesControl()) -> float:
     """The series 3F2(1, a, 1; b, b; 1) minus its leading 1.
 
@@ -117,9 +119,11 @@ def hyp3f2_unit_excess(a: float, b: float, ctrl: SeriesControl = SeriesControl()
     excess itself, which downstream subtractions need when the full series
     is close to 1.  The stopping rule requires both the current term and
     the analytic tail bound t_l (l+1)/(b-2) to drop below ctrl.rel_tol
-    relative to the full sum.  Terms decay like l^(-b), so the series is
-    slowest for b near its lower end; the default max_terms accommodates b
-    down to ~3.
+    relative to the full sum.  Terms are advanced _SERIES_BLOCK at a time
+    with a cumulative product and the stopping rule is checked between
+    blocks, so at least one block is always summed.  Terms decay like
+    l^(-b), so the series is slowest for b near its lower end; the default
+    max_terms accommodates b down to ~3.
 
     Raises
     ------
@@ -137,15 +141,24 @@ def hyp3f2_unit_excess(a: float, b: float, ctrl: SeriesControl = SeriesControl()
         raise ValueError(f"series requires b > a for convergence, got a={a}, b={b}")
     if b <= 2.0:
         raise ValueError(f"tail bound requires b > 2, got b={b}")
-    f1, terms, tail, converged = kernels.hyp3f2_series(a, b, ctrl.rel_tol, ctrl.max_terms)
-    if not converged:
-        raise SeriesConvergenceError(
-            f"3F2 series did not converge within {ctrl.max_terms} terms "
-            f"(a={a}, b={b}, rel_tol={ctrl.rel_tol})",
-            estimate=1.0 + f1,
-            error_bound=tail,
-        )
-    return float(f1)
+    f1 = 0.0
+    t = 1.0  # t_0
+    l = 0
+    while l < ctrl.max_terms:
+        total = 1.0 + f1
+        if t <= ctrl.rel_tol * total and t * (l + 1) / (b - 2.0) <= ctrl.rel_tol * total:
+            return float(f1)
+        m = np.arange(l, min(l + _SERIES_BLOCK, ctrl.max_terms), dtype=np.float64)
+        terms = t * np.cumprod((m + 1.0) * (a + m) / ((b + m) * (b + m)))
+        f1 += terms.sum()
+        t = terms[-1]
+        l += len(m)
+    raise SeriesConvergenceError(
+        f"3F2 series did not converge within {ctrl.max_terms} terms "
+        f"(a={a}, b={b}, rel_tol={ctrl.rel_tol})",
+        estimate=1.0 + f1,
+        error_bound=t * (l + 1) / (b - 2.0),
+    )
 
 
 def hyp3f2_unit(a: float, b: float, ctrl: SeriesControl = SeriesControl()) -> float:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import yulesimon as ys
-from yulesimon import McmcConfig, PriorSpec, StudyConfig
+from yulesimon import McmcConfig, PriorSpec, StudyConfig, experiments
 
 
 def small_study(prior_spec, alphas=(0.3, 0.7), reps=6, n=60, seed=99):
@@ -58,6 +58,29 @@ class TestDeterminism:
         assert lines[0] == "alpha,coverage,rel_rmse_mean,rel_rmse_median,failures"
         assert len(lines) == 2
         assert lines[1].split(",")[0] == "0.40000000000000002"
+
+
+class TestFailureAccounting:
+    def test_numeric_error_counts_as_failure(self, monkeypatch):
+        fit_one = experiments._fit_one
+
+        def fail_at_low_alpha(alpha_true, *args):
+            if alpha_true == 0.3:
+                raise ys.SeriesConvergenceError("forced", estimate=None, error_bound=1.0)
+            return fit_one(alpha_true, *args)
+
+        monkeypatch.setattr(experiments, "_fit_one", fail_at_low_alpha)
+        cfg = small_study(PriorSpec("loss", 10), reps=3)
+        rows = ys.run_coverage_study(cfg, workers=1).rows
+        assert [row.failures for row in rows] == [3, 0]
+
+    def test_programming_error_propagates(self, monkeypatch):
+        def broken(*args):
+            raise TypeError("bug")
+
+        monkeypatch.setattr(experiments, "_fit_one", broken)
+        with pytest.raises(TypeError, match="bug"):
+            ys.run_coverage_study(small_study(PriorSpec("loss", 10), reps=2), workers=1)
 
 
 class TestCoverageStudy:

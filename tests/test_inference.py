@@ -88,6 +88,14 @@ class TestContinuousSampler:
         assert np.all(chain.draws > 0.0) and np.all(chain.draws < 1.0)
         assert 0.05 < chain.acceptance_rate < 0.95
 
+    def test_proposals_past_float_range_are_rejected(self, hits):
+        # Logit steps of ~1e4 overflow math.exp or round alpha to 1.0; the
+        # chain rejects them instead of raising.
+        cfg = McmcConfig(iterations=50, burn_in=0, seed=2, proposal_scale=1e4)
+        with pytest.warns(ys.TuningWarning):
+            chain = ys.sample_posterior_continuous(hits, ys.JeffreysPrior(), cfg)
+        assert np.all(chain.draws > 0.0) and np.all(chain.draws < 1.0)
+
     def test_budget_stability_on_hits(self, hits):
         # 10k -> 100k iterations moves the summary by < 0.01
         prior = ys.JeffreysPrior()

@@ -59,6 +59,13 @@ class TestFisherInformation:
         with pytest.raises(ValueError):
             ys.fisher_information_oracle(0.5, k_max=10)
 
+    @pytest.mark.parametrize("fn", [ys.fisher_information, ys.jeffreys_log_unnormalized])
+    def test_series_cap_raises_with_estimate(self, fn):
+        with pytest.raises(ys.SeriesConvergenceError) as err:
+            fn(0.08, SeriesControl(max_terms=100))
+        assert err.value.estimate is not None
+        assert err.value.error_bound > 0.0
+
 
 class TestJeffreys:
     def test_q_is_sqrt_fisher(self):
