@@ -17,7 +17,7 @@ import numpy as np
 from . import data as data_mod
 from .controls import SeriesControl
 from .distribution import FrequencySample, sample as sample_draws
-from .errors import DataFormatError, NumericError
+from .errors import NumericError
 from .experiments import PriorSpec, StudyConfig, default_grid, run_coverage_study
 from .inference import (
     Chain,
@@ -230,10 +230,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)
         return 1
-    except (DataFormatError, FileNotFoundError, IsADirectoryError) as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (ValueError, FileNotFoundError, IsADirectoryError) as exc:
+        # DataFormatError is a ValueError
         print(f"data error: {exc}", file=sys.stderr)
         return 2
     except NumericError as exc:

@@ -98,12 +98,10 @@ class FrequencySample:
             total += int(count)
         object.__setattr__(self, "entries", tuple((int(k), int(c)) for k, c in self.entries))
         object.__setattr__(self, "n", total)
-        object.__setattr__(
-            self, "_ks", np.array([k for k, _ in self.entries], dtype=np.float64)
-        )
-        object.__setattr__(
-            self, "_counts", np.array([c for _, c in self.entries], dtype=np.float64)
-        )
+        # sorted by value, so sums over entries do not depend on entry order
+        ordered = sorted(self.entries)
+        object.__setattr__(self, "_ks", np.array([k for k, _ in ordered], dtype=np.float64))
+        object.__setattr__(self, "_counts", np.array([c for _, c in ordered], dtype=np.float64))
 
     @classmethod
     def from_observations(cls, observations: Iterable[int]) -> "FrequencySample":
@@ -113,7 +111,7 @@ class FrequencySample:
 
     @property
     def values(self) -> np.ndarray:
-        """Distinct observation values as float64 (ascending entry order)."""
+        """Distinct observation values as float64, ascending."""
         return self._ks  # type: ignore[attr-defined]
 
     @property
@@ -125,12 +123,16 @@ class FrequencySample:
         return float(np.dot(self.values, self.multiplicities) / self.n)
 
 
+def _log_pmf(k, c: float):
+    """ln c + ln B(k, c+1) elementwise in k, without gammaln cancellation."""
+    return math.log(c) + gammaln(c + 1.0) + log_gamma_ratio(k, c + 1.0)
+
+
 def log_pmf(k: int, alpha: float) -> float:
     """ln f(k; alpha) = ln c + ln B(k, c+1), c = 1/(1-alpha)."""
     k = _check_k(k)
     alpha = _check_alpha(alpha)
-    c = 1.0 / (1.0 - alpha)
-    return float(math.log(c) + gammaln(c + 1.0) + log_gamma_ratio(float(k), c + 1.0))
+    return float(_log_pmf(float(k), 1.0 / (1.0 - alpha)))
 
 
 def pmf(k: int, alpha: float) -> float:
@@ -175,6 +177,4 @@ def sample(alpha: float, n: int, seed: int) -> np.ndarray:
 def log_likelihood(data: FrequencySample, alpha: float) -> float:
     """Sum over entries of count * log_pmf(k, alpha)."""
     alpha = _check_alpha(alpha)
-    c = 1.0 / (1.0 - alpha)
-    log_beta = gammaln(data.values) + gammaln(c + 1.0) - gammaln(data.values + c + 1.0)
-    return float(np.dot(data.multiplicities, np.log(c) + log_beta))
+    return float(np.dot(data.multiplicities, _log_pmf(data.values, 1.0 / (1.0 - alpha))))

@@ -21,7 +21,6 @@ import numpy as np
 from .distribution import FrequencySample, sample
 from .errors import NumericError
 from .inference import (
-    Chain,
     McmcConfig,
     PosteriorSummary,
     sample_posterior_continuous,
@@ -227,17 +226,11 @@ def run_fixed_sample_study(
     """
     ss = np.random.SeedSequence(entropy=seed)
     state = ss.generate_state(8, dtype=np.uint64)
-    data_seed = int(state[0])
-    data = FrequencySample.from_observations(sample(alpha_true, n, data_seed))
-    out: dict[str, PosteriorSummary] = {}
-    for i, spec in enumerate(
-        (PriorSpec("jeffreys"), PriorSpec("loss", 10), PriorSpec("loss", 20))
-    ):
-        cfg = McmcConfig(iterations=10_000, burn_in=2_000, seed=int(state[i + 1]))
-        prior = _build_prior(spec)
-        if spec.kind == "jeffreys":
-            chain = sample_posterior_continuous(data, prior, cfg)
-        else:
-            chain = sample_posterior_discrete(data, prior, cfg)
-        out[spec.label] = summarize(chain)
-    return out
+    mcmc = McmcConfig(iterations=10_000, burn_in=2_000, seed=0)
+    specs = (PriorSpec("jeffreys"), PriorSpec("loss", 10), PriorSpec("loss", 20))
+    return {
+        spec.label: _fit_one(
+            alpha_true, n, int(state[0]), int(state[i + 1]), mcmc, _build_prior(spec)
+        )
+        for i, spec in enumerate(specs)
+    }

@@ -161,6 +161,14 @@ def sample_posterior_continuous(
     return Chain(kept, rate, cfg)
 
 
+def _grid_log_posterior(data: FrequencySample, prior: GridPrior) -> np.ndarray:
+    """ln mass_i + ln L(data | alpha_i) per grid point; zero masses give -inf."""
+    with np.errstate(divide="ignore"):
+        return np.log(prior.masses) + np.array(
+            [log_likelihood(data, a) for a in prior.support]
+        )
+
+
 def sample_posterior_discrete(
     data: FrequencySample, prior: GridPrior, cfg: McmcConfig
 ) -> Chain:
@@ -175,9 +183,7 @@ def sample_posterior_discrete(
     proposals = rng.integers(0, n_points, size=cfg.iterations)
     with np.errstate(divide="ignore"):
         log_u = np.log(rng.random(cfg.iterations))
-        log_post = np.log(prior.masses) + np.array(
-            [log_likelihood(data, a) for a in prior.support]
-        )
+    log_post = _grid_log_posterior(data, prior)
 
     idx = int(np.argmin(np.abs(prior.support - _initial_alpha(data))))
     kept = np.empty(cfg.iterations - cfg.burn_in, dtype=np.float64)
@@ -199,10 +205,7 @@ def exact_grid_posterior(data: FrequencySample, prior: GridPrior) -> GridPrior:
     Normalized with log-sum-exp; the result is the reference the discrete
     chain's empirical distribution is compared against.
     """
-    with np.errstate(divide="ignore"):
-        log_w = np.log(prior.masses) + np.array(
-            [log_likelihood(data, a) for a in prior.support]
-        )
+    log_w = _grid_log_posterior(data, prior)
     log_w -= logsumexp(log_w)
     masses = np.exp(log_w)
     masses /= masses.sum()

@@ -14,8 +14,8 @@ verification.
 Loss-based prior (discrete): on the grid D_M = {i/M : i = 1..M-1}, each
 point gets mass proportional to exp(min KL divergence to any other grid
 point) - 1.  The KL expectation terms are summed head-on and closed with an
-Euler-Maclaurin tail; the worth minimum is an exhaustive search over the
-grid.
+Euler-Maclaurin tail; the family's monotone likelihood ratio in k puts the
+minimum at a neighbouring grid point, so only neighbours are paired.
 
 Prior construction is pure computation: no global state, deterministic
 output for identical inputs.
@@ -239,15 +239,17 @@ class GridPrior:
 # Kullback-Leibler divergence and the loss-based prior.
 #
 # D(alpha || alpha') = log(c/c') + E_alpha[log B(k, c+1) - log B(k, c'+1)].
-# The expectation is a single sum over k: a head of _KL_HEAD terms summed
-# outright, then an Euler-Maclaurin closure
+# The expectation is a single sum over k: a head of terms summed outright,
+# then an Euler-Maclaurin closure
 #     sum_{k>=A} h(k) = int_A^inf h + h(A)/2 - h'(A)/12 + R,
 # with the integral taken under t = A e^w (Gauss-Legendre panels in w) and
-# |R| estimated from |h''(A)|/720.  Everything is expressed through
-# per-gridpoint vectors so the full KL matrix assembles with dense algebra.
+# |R| estimated from |h''(A)|/720.  Only neighbouring grid points are paired:
+# each pair reads adjacent column slices of the per-gridpoint vectors and
+# differences its log B terms term by term, so the work is O(M).
 # ---------------------------------------------------------------------------
 
 _KL_HEAD = 16384
+_KL_BLOCK_FLOATS = 1 << 17  # floats per head block (1 MB): cache-sized, so the cost is steady
 
 
 def _gauss_log_nodes(n_per_panel: int = 16, panel_width: float = 2.0, w_max: float = 64.0):
@@ -273,43 +275,66 @@ def _grid_vectors(cs: np.ndarray, t: np.ndarray):
     return log_beta, pmf
 
 
-def _kl_matrix(cs: np.ndarray, head: int):
-    """KL divergence matrix over grid points (diagonal zero) and the
-    Euler-Maclaurin remainder estimate matrix."""
-    k = np.arange(1.0, head + 1.0)
-    v_head, p_head = _grid_vectors(cs, k)
-    cross = p_head.T @ v_head
-    head_mat = np.diag(cross)[:, None] - cross
+def _pair_sums(v: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Column sums of p_own (v_own - v_other) over neighbouring columns: row 0
+    pairs column i with i+1, row 1 column i+1 with i."""
+    lo, hi = slice(None, -1), slice(1, None)  # views: index arrays would copy
+    return np.stack([(p[:, lo] * (v[:, lo] - v[:, hi])).sum(axis=0),
+                     (p[:, hi] * (v[:, hi] - v[:, lo])).sum(axis=0)])
 
+
+def _neighbour_kl(cs: np.ndarray, head: int):
+    """Neighbour KLs and their remainder estimates, both of shape (2, M-1):
+    entry i of row 0 is KL(cs[i] || cs[i+1]), of row 1 KL(cs[i+1] || cs[i])."""
+    block = max(1, _KL_BLOCK_FLOATS // len(cs))
+    head_sum = sum(
+        _pair_sums(*_grid_vectors(cs, np.arange(k0 + 1.0, min(k0 + block, head) + 1.0)))
+        for k0 in range(0, head, block)
+    )
     a = float(head + 1)
     t = a * np.exp(_W_NODES)
     v_tail, p_tail = _grid_vectors(cs, t)
-    scaled = (_W_WEIGHTS * t)[:, None] * p_tail  # dt = t dw
-    own = np.einsum("qi,qi->i", scaled, v_tail)
-    cross_tail = scaled.T @ v_tail
-    tail_int = own[:, None] - cross_tail
+    tail_int = _pair_sums(v_tail, (_W_WEIGHTS * t)[:, None] * p_tail)  # dt = t dw
 
     # boundary terms at t = a
     v_a = float(gammaln(a)) + gammaln(cs + 1.0) - gammaln(a + cs + 1.0)
     p_a = cs * np.exp(v_a)
     dv_a = float(_psi(a)) - _psi(a + cs + 1.0)
     d2v_a = float(polygamma(1, a)) - polygamma(1, a + cs + 1.0)
-    diff = v_a[:, None] - v_a[None, :]
-    d_diff = dv_a[:, None] - dv_a[None, :]
-    d2_diff = d2v_a[:, None] - d2v_a[None, :]
-    h_a = p_a[:, None] * diff
-    hp_a = p_a[:, None] * (dv_a[:, None] * diff + d_diff)
-    hpp_a = p_a[:, None] * (
-        (dv_a[:, None] ** 2 + d2v_a[:, None]) * diff
-        + 2.0 * dv_a[:, None] * d_diff
-        + d2_diff
-    )
 
-    log_ratio = np.log(cs)[:, None] - np.log(cs)[None, :]
-    kl = log_ratio + head_mat + tail_int + 0.5 * h_a - hp_a / 12.0
-    np.fill_diagonal(kl, 0.0)
-    remainder = 2.0 * np.abs(hpp_a) / 720.0
-    return kl, remainder
+    def pairs(x):  # x at each pair's own point and at its other point
+        return np.stack([x[:-1], x[1:]]), np.stack([x[1:], x[:-1]])
+
+    (v, v_o), (dv, dv_o), (d2v, d2v_o), (p, _), (log_c, log_c_o) = (
+        pairs(x) for x in (v_a, dv_a, d2v_a, p_a, np.log(cs))
+    )
+    diff = v - v_o
+    d_diff = dv - dv_o
+    h_a = p * diff
+    hp_a = p * (dv * diff + d_diff)
+    hpp_a = p * ((dv**2 + d2v) * diff + 2.0 * dv * d_diff + (d2v - d2v_o))
+    kl = log_c - log_c_o + head_sum + tail_int + 0.5 * h_a - hp_a / 12.0
+    return kl, 2.0 * np.abs(hpp_a) / 720.0
+
+
+def _certified_neighbour_kl(cs: np.ndarray, ctrl: SeriesControl) -> np.ndarray:
+    """`_neighbour_kl` with the head grown x4 from _KL_HEAD until every
+    remainder is within ctrl.rel_tol of its KL; past ctrl.max_terms raises
+    SeriesConvergenceError carrying the KL array as its estimate."""
+    head = min(_KL_HEAD, ctrl.max_terms)
+    while True:
+        kl, remainder = _neighbour_kl(cs, head)
+        bound = float(remainder.max())
+        if np.all(remainder <= ctrl.rel_tol * np.maximum(np.abs(kl), 1e-12)):
+            return kl
+        if head >= ctrl.max_terms:
+            raise SeriesConvergenceError(
+                f"KL tail remainder {bound} not within tolerance on a "
+                f"{len(cs)}-point grid with max_terms={ctrl.max_terms}",
+                estimate=kl,
+                error_bound=bound,
+            )
+        head = min(head * 4, ctrl.max_terms)
 
 
 def kl_divergence(
@@ -321,21 +346,7 @@ def kl_divergence(
     if alpha == alpha_prime:
         return 0.0
     cs = np.array([1.0 / (1.0 - alpha), 1.0 / (1.0 - alpha_prime)])
-    head = min(_KL_HEAD, ctrl.max_terms)
-    while True:
-        kl, remainder = _kl_matrix(cs, head)
-        value = float(kl[0, 1])
-        bound = float(remainder[0, 1])
-        if bound <= ctrl.rel_tol * max(abs(value), 1e-12):
-            break
-        if head >= ctrl.max_terms:
-            raise SeriesConvergenceError(
-                f"KL tail remainder {bound} not within tolerance at "
-                f"({alpha}, {alpha_prime}) with max_terms={ctrl.max_terms}",
-                estimate=value,
-                error_bound=bound,
-            )
-        head = min(head * 4, ctrl.max_terms)
+    value = float(_certified_neighbour_kl(cs, ctrl)[0, 0])
     if value < -1e-8:
         raise NumericError(
             f"KL divergence came out negative ({value}) at ({alpha}, {alpha_prime})"
@@ -346,25 +357,17 @@ def kl_divergence(
 def loss_based_prior(m: int, ctrl: SeriesControl = _DEFAULT_SERIES) -> GridPrior:
     """Masses proportional to exp(min KL to any other grid point) - 1.
 
-    The minimizing alpha' is found by exhaustive search over the full KL
-    matrix (cheap for the M <= 1000 grids in scope, and assumption-free).
+    The family has a monotone likelihood ratio in k, so KL(alpha_i || alpha')
+    grows as alpha' moves away from alpha_i on either side: the minimum is at
+    a neighbouring grid point, and only those pairs are computed.
     Deterministic: identical inputs give bit-identical masses.
     """
     if m < 3:
         raise ValueError(f"grid denominator M must be >= 3, got {m}")
     support = np.arange(1, m, dtype=np.float64) / m
-    cs = 1.0 / (1.0 - support)
-    head = min(_KL_HEAD, ctrl.max_terms)
-    kl, remainder = _kl_matrix(cs, head)
-    np.fill_diagonal(kl, np.inf)
-    worth = kl.min(axis=1)
-    rem = remainder.max(axis=1)
-    if np.any(rem > np.maximum(ctrl.rel_tol * worth, 1e-12)):
-        raise SeriesConvergenceError(
-            "KL tail remainder above tolerance on the grid; raise max_terms",
-            estimate=None,
-            error_bound=float(rem.max()),
-        )
+    to_next, to_prev = _certified_neighbour_kl(1.0 / (1.0 - support), ctrl)
+    # the end points have one neighbour each
+    worth = np.minimum(np.append(to_next, np.inf), np.insert(to_prev, 0, np.inf))
     if np.any(worth <= 0.0):
         raise NumericError("minimum KL must be positive on a grid of distinct points")
     masses = np.expm1(worth)

@@ -78,13 +78,15 @@ def log_gamma_ratio(t, s):
     """
     t_arr = np.asarray(t, dtype=np.float64)
     s_arr = np.asarray(s, dtype=np.float64)
-    t_b, s_b = np.broadcast_arrays(t_arr, s_arr)
-    out = np.empty(t_b.shape, dtype=np.float64)
-    direct = t_b < np.maximum(1e4, 1000.0 * s_b)
-    out[direct] = scipy.special.gammaln(t_b[direct]) - scipy.special.gammaln(
-        t_b[direct] + s_b[direct]
-    )
-    if not np.all(direct):
+    direct = t_arr < np.maximum(1e4, 1000.0 * s_arr)
+    if direct.all():
+        out = scipy.special.gammaln(t_arr) - scipy.special.gammaln(t_arr + s_arr)
+    else:
+        t_b, s_b = np.broadcast_arrays(t_arr, s_arr)
+        out = np.empty(t_b.shape, dtype=np.float64)
+        out[direct] = scipy.special.gammaln(t_b[direct]) - scipy.special.gammaln(
+            t_b[direct] + s_b[direct]
+        )
         tl = t_b[~direct]
         sl = s_b[~direct]
         out[~direct] = -(

@@ -12,6 +12,11 @@ from yulesimon import FrequencySample, YuleSimonModel
 LOG_PMF_SMITH = -44.509450086756638711  # ln f(2502021; 0.53), Smith-scale count
 HITS_LOGLIK_0P1 = -49.673379665314176936  # embedded hits sample at alpha = 0.1
 SURVIVAL_10_0P7 = 0.0030093613135658477
+LOG_PMF_0P3 = {  # ln f(k; 0.3) at surname-scale k, 0.3 as its binary value
+    10**6: -32.959558099646819790986820,
+    10**7: -38.551548907123259183256840,
+    10**8: -44.143541119700646424195510,
+}
 
 
 def pmf_vector(alpha: float, k_max: int) -> np.ndarray:
@@ -159,6 +164,11 @@ class TestLogLikelihood:
 
     def test_hits_golden(self, hits):
         assert ys.log_likelihood(hits, 0.1) == pytest.approx(HITS_LOGLIK_0P1, rel=1e-12)
+
+    @pytest.mark.parametrize("k", sorted(LOG_PMF_0P3))
+    def test_large_value_golden(self, k):
+        sample = FrequencySample(((k, 1),))
+        assert ys.log_likelihood(sample, 0.3) == pytest.approx(LOG_PMF_0P3[k], abs=1e-12)
 
     def test_order_invariant(self):
         a = FrequencySample(((1, 3), (4, 2), (9, 1)))

@@ -15,6 +15,12 @@ K_MIDPOINT_ORACLE = 1.8913857052347882
 # KL(0.5 || 0.6) by brute-force summation to k = 1e7 (tail < 1e-12 there):
 KL_05_06_BRUTE = 0.010397540660891
 
+# 40-digit mpmath KLs at the binary values of the arguments: the head summed
+# to k = 200 plus mpmath.sumem for the tail (the same to 32 digits with the
+# split at 1000):
+KL_037_036_MP = 3.4086543815946552011014070e-07
+KL_05_06_MP = 0.010397540661047532057317279
+
 # Loss-based M=10 masses from a brute-force KL matrix (every pair summed to
 # k = 1e7); agreement tolerance covers the brute matrix's own truncation.
 LOSS10_BRUTE_MASSES = np.array(
@@ -123,6 +129,18 @@ class TestKlDivergence:
     def test_asymmetry_is_real(self):
         assert ys.kl_divergence(0.1, 0.4) != ys.kl_divergence(0.4, 0.1)
 
+    def test_close_pair_mpmath_golden(self):
+        # neighbours of an M = 1000 grid: the KL is ~3e-7, far below the
+        # O(1) sums it is built from
+        value = ys.kl_divergence(0.037, 0.036)
+        assert value == pytest.approx(KL_037_036_MP, rel=1e-8, abs=0)
+
+    def test_grown_head_matches_mpmath(self):
+        # the first 16,384-term head cannot meet rel_tol=1e-20 here, so the
+        # head grows to 65,536 terms
+        value = ys.kl_divergence(0.5, 0.6, SeriesControl(rel_tol=1e-20))
+        assert value == pytest.approx(KL_05_06_MP, rel=1e-13, abs=0)
+
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             ys.kl_divergence(0.0, 0.5)
@@ -148,6 +166,25 @@ class TestLossBasedPrior:
         i01 = int(np.argmin(np.abs(prior.support - 0.1)))
         i09 = int(np.argmin(np.abs(prior.support - 0.9)))
         assert prior.masses[i09] > prior.masses[i01]
+
+    @pytest.mark.parametrize("m", [10, 20])
+    def test_matches_exhaustive_minimum(self, m):
+        # the prior pairs only neighbours; the oracle searches every j != i
+        support = np.arange(1, m) / m
+        worth = np.array(
+            [
+                min(ys.kl_divergence(a, b) for b in support if b != a)
+                for a in support
+            ]
+        )
+        expected = np.expm1(worth) / np.expm1(worth).sum()
+        np.testing.assert_allclose(ys.loss_based_prior(m).masses, expected, rtol=1e-9)
+
+    def test_series_cap_raises_with_estimate(self):
+        with pytest.raises(ys.SeriesConvergenceError) as err:
+            ys.loss_based_prior(10, SeriesControl(max_terms=64))
+        assert err.value.estimate is not None
+        assert err.value.error_bound > 0.0
 
     def test_deterministic_bit_identical(self):
         a = ys.loss_based_prior(20)
