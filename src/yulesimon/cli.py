@@ -15,7 +15,6 @@ import sys
 import numpy as np
 
 from . import data as data_mod
-from .controls import SeriesControl
 from .distribution import FrequencySample, sample as sample_draws
 from .errors import NumericError
 from .experiments import PriorSpec, StudyConfig, default_grid, run_coverage_study
@@ -138,7 +137,7 @@ def _cmd_prior(args) -> int:
         return 0
     if args.grid_points < 1:
         raise _UsageError("--grid-points must be >= 1")
-    prior = JeffreysPrior(series_ctrl=SeriesControl())
+    prior = JeffreysPrior()
     normalizer = prior.normalizer()
     grid = np.arange(1, args.grid_points + 1) / (args.grid_points + 1)
     with open(args.out, "w", encoding="utf-8") as fh:

@@ -9,8 +9,10 @@ from dataclasses import dataclass
 class SeriesControl:
     """Stopping rule for infinite-series evaluation.
 
-    ``rel_tol`` is relative to the accumulated sum; ``max_terms`` caps the
-    number of terms.  Hitting the cap before the tolerance is an explicit
+    ``rel_tol`` bounds the remainder estimate relative to the sum.  The
+    series are summed term by term over a head and closed analytically past
+    it; ``max_terms`` caps the head, which grows x4 until the remainder
+    meets ``rel_tol``.  Hitting the cap before the tolerance is an explicit
     :class:`~yulesimon.errors.SeriesConvergenceError`, never a silent
     truncation.
     """

@@ -171,13 +171,12 @@ def jeffreys_normalizer(
 class JeffreysPrior:
     """The Jeffreys prior with its evaluation controls and cached normalizer.
 
-    The default series tolerance is looser than the specfun default because
-    q is evaluated once per MCMC proposal and 1e-10 relative accuracy is
-    far below any statistical resolution; pass a tighter SeriesControl for
-    verification work.
+    The series control is the package default: its rel_tol = 1e-12 costs no
+    more than a looser one, because the 3F2 series meets it with its first
+    128-term head at every alpha.
     """
 
-    series_ctrl: SeriesControl = SeriesControl(rel_tol=1e-10)
+    series_ctrl: SeriesControl = _DEFAULT_SERIES
     quad_ctrl: QuadratureControl = QuadratureControl()
     _normalizer: float | None = field(
         default=None, init=False, repr=False, compare=False

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -61,6 +62,31 @@ class TestFisherInformation:
         for alpha in np.linspace(0.001, 0.999, 120):
             assert ys.fisher_information(float(alpha), ctrl) > 0.0
 
+    def test_dense_alpha_mpmath_oracle(self):
+        # I(alpha) against the radicand from 40-digit sums of the series terms
+        # (mpmath.nsum with Levin acceleration: its default method is off by
+        # 1e-8 below alpha = 0.2, and mpmath.hyp3f2 returns about 1e-13 in
+        # place of the series at these digits for alpha >= 0.97)
+        alphas = np.concatenate([[5e-4, 3e-3], np.linspace(0.02, 0.98, 33), [0.995, 0.9999]])
+        with mpmath.workdps(40):
+            for alpha in alphas:
+                alpha = float(alpha)
+                c = 1.0 / (1.0 - alpha)
+                a, b = mpmath.mpf(c + 1.0), mpmath.mpf(c + 2.0)
+                log_norm = 2 * mpmath.loggamma(b) - mpmath.loggamma(a)
+                excess = mpmath.nsum(
+                    lambda l: mpmath.exp(
+                        mpmath.loggamma(l + 1) + mpmath.loggamma(l + a)
+                        - 2 * mpmath.loggamma(l + b) + log_norm
+                    ),
+                    [1, mpmath.inf],
+                    method="levin",
+                )
+                x = mpmath.mpf(alpha)
+                radicand = ((3 - x) * (1 - x) - excess) / (2 - x) ** 2
+                expected = float(radicand / (1 - x) ** 2)
+                assert ys.fisher_information(alpha) == pytest.approx(expected, rel=1e-13, abs=0)
+
     def test_oracle_rejects_small_k_max(self):
         with pytest.raises(ValueError):
             ys.fisher_information_oracle(0.5, k_max=10)
@@ -102,6 +128,9 @@ class TestJeffreys:
 
     def test_normalizer_matches_midpoint_oracle(self):
         assert ys.jeffreys_normalizer() == pytest.approx(K_MIDPOINT_ORACLE, abs=1e-6)
+
+    def test_prior_uses_package_series_default(self):
+        assert JeffreysPrior().series_ctrl == SeriesControl()
 
     def test_normalizer_cached_on_prior(self):
         prior = JeffreysPrior()

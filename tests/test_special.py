@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+import scipy.special
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from yulesimon import (
     QuadratureControl,
@@ -13,8 +16,10 @@ from yulesimon import (
     integrate_unit_interval,
     log_beta,
     log_gamma,
+    log_gamma_ratio,
     trigamma,
 )
+from yulesimon.special import _HEAD, _excess_estimate
 
 TIGHT = SeriesControl(rel_tol=1e-12)
 
@@ -159,6 +164,64 @@ class TestHyp3f2:
             hyp3f2_unit(2.05, 3.05, SeriesControl(rel_tol=1e-12, max_terms=100))
         assert err.value.estimate is not None
         assert err.value.error_bound > 0.0
+
+    def test_cap_above_head_returns(self):
+        # 35 terms suffice at alpha = 0.9; a cap above the first head must
+        # not raise whatever its size
+        value = hyp3f2_unit(11.0, 12.0, SeriesControl(max_terms=200))
+        assert value == pytest.approx(HYP3F2_A11_B12, rel=1e-14, abs=0)
+
+    def test_shallow_tail_domain_error(self):
+        # 2b - a - 2 = 0.7: the Gauss-Laguerre closure needs a decay rate >= 2
+        with pytest.raises(ValueError):
+            hyp3f2_unit(2.5, 2.6, TIGHT)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.floats(min_value=1e-4, max_value=0.9999))
+    def test_longer_head_agrees_within_bound(self, alpha):
+        c = 1.0 / (1.0 - alpha)
+        short, bound = _excess_estimate(c + 1.0, c + 2.0, _HEAD)
+        longer, _ = _excess_estimate(c + 1.0, c + 2.0, 4 * _HEAD)
+        # the remainder estimate plus a few ulps of rounding
+        assert abs(short - longer) <= bound + 4.0 * np.finfo(float).eps * (1.0 + longer)
+
+
+def _branchwise_log_gamma_ratio(t, s):
+    """Reference: each branch evaluated only on the elements that take it."""
+    t_b, s_b = np.broadcast_arrays(np.asarray(t, float), np.asarray(s, float))
+    direct = t_b < np.maximum(1e4, 1000.0 * s_b)
+    out = np.empty(t_b.shape)
+    td, sd = t_b[direct], s_b[direct]
+    out[direct] = scipy.special.gammaln(td) - scipy.special.gammaln(td + sd)
+    tl, sl = t_b[~direct], s_b[~direct]
+    out[~direct] = -(
+        sl * np.log(tl)
+        + sl * (sl - 1.0) / (2.0 * tl)
+        + (sl * sl / 4.0 - sl**3 / 6.0 - sl / 12.0) / (tl * tl)
+        + (sl**4 / 12.0 - sl**3 / 6.0 + sl * sl / 12.0) / (tl * tl * tl)
+    )
+    return out
+
+
+class TestLogGammaRatio:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_branchwise_reference_exactly(self, seed):
+        rng = np.random.default_rng(seed)
+        t = np.exp(rng.uniform(0.0, 35.0, 40))
+        for s in (float(rng.uniform(1.0, 30.0)), rng.uniform(1.0, 3000.0, 40)):
+            np.testing.assert_array_equal(log_gamma_ratio(t, s), _branchwise_log_gamma_ratio(t, s))
+        s_row = rng.uniform(1.0, 3000.0, 7)[None, :]
+        np.testing.assert_array_equal(
+            log_gamma_ratio(t[:, None], s_row), _branchwise_log_gamma_ratio(t[:, None], s_row)
+        )
+
+    def test_scalars_return_float(self):
+        assert isinstance(log_gamma_ratio(3.0, 2.5), float)
+        assert isinstance(log_gamma_ratio(1e9, 2.5), float)
+        assert log_gamma_ratio(3.0, 1.0) == pytest.approx(-math.log(3.0), rel=1e-15)
+
+    def test_empty_input(self):
+        assert log_gamma_ratio(np.array([]), 2.0).shape == (0,)
 
 
 class TestIntegrateUnitInterval:
