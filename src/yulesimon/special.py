@@ -115,6 +115,10 @@ def trigamma(x: float) -> float:
 # below 7e-14 of the sum on the whole family the package uses, so the
 # default rel_tol = 1e-12 never grows the head.
 _HEAD = 128
+# Terms per head block (32 KB of floats): a grown head is summed block by
+# block, so its memory does not grow with it.  The first head is one block.
+_HEAD_BLOCK = 4096
+_BLOCK_M = np.arange(_HEAD_BLOCK, dtype=np.float64)
 
 # 16-point Gauss-Laguerre rule for the tail integral, with a node at x = 0
 # (weight 0) prepended so that the same evaluation gives h at the boundary.
@@ -127,12 +131,26 @@ _LOG_H_SIGNS = np.array([1.0, 1.0, -2.0])
 _ZETA_ORDERS = np.array([[2.0], [3.0]])
 
 
+def _head_sum(a: float, b: float, head: int) -> float:
+    """The terms l = 1..head, summed in blocks that carry the running term.
+
+    Each block is m0 + m over a view m of one constant index array, with m0
+    folded into the scalars: no index array is built per call.
+    """
+    total, term = 0.0, 1.0
+    for m0 in range(0, head, _HEAD_BLOCK):
+        m = _BLOCK_M[: head - m0]
+        bm = m + (b + m0)
+        block = ((m + (m0 + 1.0)) * (m + (a + m0)) / (bm * bm)).cumprod()
+        total += term * float(block.sum())
+        term *= float(block[-1])
+    return total
+
+
 def _excess_estimate(a: float, b: float, head: int) -> tuple[float, float]:
     """The excess summed to l = head and closed by Euler-Maclaurin from
     A = head + 1; returns it with the remainder estimate |h'''(A)|/720."""
-    m = np.arange(head, dtype=np.float64)
-    bm = b + m
-    head_sum = float(((m + 1.0) * (a + m) / (bm * bm)).cumprod().sum())
+    head_sum = _head_sum(a, b, head)
 
     # Under t = A e^(x/r) the tail integral is (1/r) times the integral of
     # e^-x [e^x t h(t)] over (0, inf), and the bracket tends to a constant.
@@ -140,14 +158,19 @@ def _excess_estimate(a: float, b: float, head: int) -> tuple[float, float]:
     r = 2.0 * b - a - 2.0
     t = big_a * np.exp(_TAIL_X / r)
     shifts = np.array([1.0, a, b])
-    # Plain gammaln differences: their rounding grows like t ln(t) eps, but
-    # the Laguerre weight of a node falls faster (as e^-x against e^(x/r),
-    # r >= 2), so no node's error reaches 1e-13 of the tail integral.  The
-    # Stirling branch of log_gamma_ratio would double the cost of a call.
-    h = np.exp(
-        scipy.special.gammaln(t[:, None] + shifts) @ _LOG_H_SIGNS
-        + (2.0 * math.lgamma(b) - math.lgamma(a))
-    )
+    log_norm = 2.0 * math.lgamma(b) - math.lgamma(a)
+    if head <= _HEAD:
+        # Plain gammaln differences: their rounding grows like t ln(t) eps,
+        # but the Laguerre weight of a node falls faster (as e^-x against
+        # e^(x/r), r >= 2), so no node's error reaches 1e-13 of the tail
+        # integral.  The Stirling branch of log_gamma_ratio would double the
+        # cost of a call.
+        log_h = scipy.special.gammaln(t[:, None] + shifts) @ _LOG_H_SIGNS
+    else:
+        # A grown head puts the last nodes near t = 1e16, where the plain
+        # differences keep no digit at all.
+        log_h = log_gamma_ratio(t + 1.0, b - 1.0) + log_gamma_ratio(t + a, b - a)
+    h = np.exp(log_h + log_norm)
     tail_int = float(_TAIL_W @ (t * h)) / r
 
     # derivatives of ln h at A, from psi, psi' = zeta(2, .), psi'' = -2 zeta(3, .)
@@ -170,7 +193,8 @@ def hyp3f2_unit_excess(a: float, b: float, ctrl: SeriesControl = SeriesControl()
     when the full series is close to 1.
 
     Head: the first 128 terms, by the recurrence
-    t_{l+1} = t_l (l+1)(a+l)/(b+l)^2.
+    t_{l+1} = t_l (l+1)(a+l)/(b+l)^2.  A grown head is summed in blocks of
+    4,096 terms that carry the running term, so its memory stays flat.
 
     Closure: the terms continue to real t as
     h(t) = G(t+1) G(t+a) G(b)^2 / (G(a) G(t+b)^2), and the rest of the
@@ -180,7 +204,8 @@ def hyp3f2_unit_excess(a: float, b: float, ctrl: SeriesControl = SeriesControl()
 
     The integral is a 16-point Gauss-Laguerre rule in x = r ln(t/A), where
     t h(t) falls like t^-r with r = 2b - a - 2; the derivatives of ln h are
-    sums of psi, zeta(2, .) and zeta(3, .).
+    sums of psi, zeta(2, .) and zeta(3, .).  On a grown head the last nodes
+    reach t = 1e16, so ln h is taken there from log_gamma_ratio.
 
     Bound: the result is returned when |h'''(A)|/720, the size of the last
     closure term, is at most ctrl.rel_tol * (1 + excess); otherwise the head

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import yulesimon as ys
-from yulesimon import GridPrior, JeffreysPrior, SeriesControl
+from yulesimon import GridPrior, JeffreysPrior, SeriesControl, priors
 
 TIGHT = SeriesControl(rel_tol=1e-12)
 
@@ -21,6 +21,7 @@ KL_05_06_BRUTE = 0.010397540660891
 # split at 1000):
 KL_037_036_MP = 3.4086543815946552011014070e-07
 KL_05_06_MP = 0.010397540661047532057317279
+KL_09_091_MP = 5.3468907055513032905869208870e-04  # c = 10 against c = 11.1
 
 # Loss-based M=10 masses from a brute-force KL matrix (every pair summed to
 # k = 1e7); agreement tolerance covers the brute matrix's own truncation.
@@ -142,6 +143,19 @@ class TestJeffreys:
         )
 
 
+def _spy_on_kl_heads(monkeypatch):
+    """Record the head length of every neighbour-KL kernel call."""
+    heads = []
+    kernel = priors._neighbour_kl
+
+    def spy(cs, head):
+        heads.append(head)
+        return kernel(cs, head)
+
+    monkeypatch.setattr(priors, "_neighbour_kl", spy)
+    return heads
+
+
 class TestKlDivergence:
     def test_identity_of_indiscernibles(self):
         assert ys.kl_divergence(0.5, 0.5) == 0.0
@@ -162,13 +176,34 @@ class TestKlDivergence:
         # neighbours of an M = 1000 grid: the KL is ~3e-7, far below the
         # O(1) sums it is built from
         value = ys.kl_divergence(0.037, 0.036)
-        assert value == pytest.approx(KL_037_036_MP, rel=1e-8, abs=0)
+        assert value == pytest.approx(KL_037_036_MP, rel=1e-9, abs=0)
+
+    def test_steep_pair_mpmath_golden(self):
+        # c = 10: the terms fall like k^-11, unlike the c ~ 1 and 2 goldens
+        value = ys.kl_divergence(0.9, 0.91)
+        assert value == pytest.approx(KL_09_091_MP, rel=1e-12, abs=0)
 
     def test_grown_head_matches_mpmath(self):
-        # the first 16,384-term head cannot meet rel_tol=1e-20 here, so the
-        # head grows to 65,536 terms
+        # the first 1,024-term head cannot meet rel_tol=1e-20 here, so the
+        # head grows to 16,384 terms
         value = ys.kl_divergence(0.5, 0.6, SeriesControl(rel_tol=1e-20))
         assert value == pytest.approx(KL_05_06_MP, rel=1e-13, abs=0)
+
+    @pytest.mark.parametrize("head", [8, 32])
+    def test_short_head_error_well_inside_estimate(self, head):
+        # with its h'''(A)/720 term the closure misses by a few percent of
+        # the estimate |h'''(A)|/720 at most; without the term, by all of it
+        goldens = {(0.5, 0.6): KL_05_06_MP, (0.037, 0.036): KL_037_036_MP,
+                   (0.9, 0.91): KL_09_091_MP}
+        for (a, b), golden in goldens.items():
+            kl, remainder = priors._neighbour_kl(np.array([1 / (1 - a), 1 / (1 - b)]), head)
+            assert abs(kl[0, 0] - golden) <= 0.1 * remainder[0, 0]
+
+    def test_tight_tolerance_grows_the_head(self, monkeypatch):
+        heads = _spy_on_kl_heads(monkeypatch)
+        ys.kl_divergence(0.5, 0.6, SeriesControl(rel_tol=1e-20))
+        assert heads[0] == priors._KL_HEAD
+        assert len(heads) > 1 and heads[-1] > priors._KL_HEAD
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
@@ -208,6 +243,14 @@ class TestLossBasedPrior:
         )
         expected = np.expm1(worth) / np.expm1(worth).sum()
         np.testing.assert_allclose(ys.loss_based_prior(m).masses, expected, rtol=1e-9)
+
+    @pytest.mark.parametrize("m", [10, 100, 1000])
+    def test_first_head_certifies(self, m, monkeypatch):
+        # the cost guard: the default tolerance is met by one kernel call on
+        # the first head, without growing it
+        heads = _spy_on_kl_heads(monkeypatch)
+        ys.loss_based_prior(m)
+        assert heads == [priors._KL_HEAD]
 
     def test_series_cap_raises_with_estimate(self):
         with pytest.raises(ys.SeriesConvergenceError) as err:

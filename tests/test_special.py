@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from yulesimon import (
     SeriesConvergenceError,
     digamma,
     hyp3f2_unit,
+    hyp3f2_unit_excess,
     integrate_unit_interval,
     log_beta,
     log_gamma,
@@ -175,6 +177,35 @@ class TestHyp3f2:
         # 2b - a - 2 = 0.7: the Gauss-Laguerre closure needs a decay rate >= 2
         with pytest.raises(ValueError):
             hyp3f2_unit(2.5, 2.6, TIGHT)
+
+    @pytest.mark.parametrize("rel_tol", [1e-20, 1e-30])
+    def test_grown_head_matches_first_head(self, rel_tol):
+        # alpha = 0.003: 1e-30 grows the head to 131,072 terms, whose last
+        # tail nodes sit near t = 1e16
+        first = hyp3f2_unit_excess(2.003, 3.003)
+        grown = hyp3f2_unit_excess(2.003, 3.003, SeriesControl(rel_tol=rel_tol))
+        assert grown == pytest.approx(first, rel=1e-14, abs=0)
+
+    def test_unreachable_tolerance_raises_with_accurate_sum(self):
+        # 1e-60 is out of reach of a 1e7-term head: the head grows to the
+        # cap, and the error carries the sum that head gives
+        first = hyp3f2_unit_excess(2.003, 3.003)
+        with pytest.raises(SeriesConvergenceError) as err:
+            hyp3f2_unit_excess(2.003, 3.003, SeriesControl(rel_tol=1e-60))
+        assert err.value.estimate == pytest.approx(1.0 + first, rel=1e-14, abs=0)
+
+    def test_grown_head_memory_is_bounded(self):
+        # the head is summed block by block, so a 1e7-term head stays small;
+        # whether the call raises is the test above's concern
+        tracemalloc.start()
+        try:
+            hyp3f2_unit_excess(2.003, 3.003, SeriesControl(rel_tol=1e-60))
+        except SeriesConvergenceError:
+            pass
+        finally:
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+        assert peak < 16e6
 
     @settings(max_examples=60, deadline=None)
     @given(st.floats(min_value=1e-4, max_value=0.9999))
