@@ -10,7 +10,6 @@ daily-return applications.
 
 from .controls import QuadratureControl, SeriesControl
 from .data import (
-    CountTable,
     PriceSeries,
     ReturnSeries,
     discretize_returns,
@@ -18,7 +17,6 @@ from .data import (
     load_count_table,
     music_hits_by_artist,
     music_hits_frequencies,
-    music_hits_table,
     to_returns,
     write_sample_csv,
 )
@@ -97,7 +95,6 @@ __all__ = [
     "backend_name",
     "SeriesControl",
     "QuadratureControl",
-    "CountTable",
     "PriceSeries",
     "ReturnSeries",
     "ingest_prices",
@@ -105,7 +102,6 @@ __all__ = [
     "discretize_returns",
     "load_count_table",
     "write_sample_csv",
-    "music_hits_table",
     "music_hits_frequencies",
     "music_hits_by_artist",
     "FrequencySample",

@@ -103,10 +103,13 @@ def _load_fit_data(args) -> FrequencySample:
 
 
 def _write_chain_csv(path: str, chain: Chain) -> None:
+    """One ``f"{draw:.17g}"`` line per draw; each distinct draw is formatted
+    once (a grid chain holds few), and the file is written in one call."""
+    values, inverse = np.unique(chain.draws, return_inverse=True)
+    lines = [f"{value:.17g}\n" for value in values.tolist()]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("draw\n")
-        for value in chain.draws:
-            fh.write(f"{value:.17g}\n")
+        fh.write("".join(map(lines.__getitem__, inverse.tolist())))
 
 
 def _write_summary_json(path: str, label: str, chain: Chain) -> None:

@@ -8,12 +8,20 @@ File formats (all UTF-8 CSV with a header row):
 * surnames-mode count table: ``label,frequency`` (each row's frequency is
   one observation).
 * frequency sample export: ``k,count`` (round-trips through hits mode).
+
+Count tables follow RFC 4180: fields may be quoted with ``"`` (a quoted
+field may hold commas, newlines and doubled quotes), blank lines are
+skipped, ``#`` has no special meaning, and columns past the second are
+ignored.  Their integers are ASCII digits with an optional sign and
+surrounding whitespace, within int64; ``1_000``-style, non-ASCII-digit and
+past-int64 integers are refused.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import re
 from collections import Counter
 from dataclasses import dataclass
 from datetime import date
@@ -26,13 +34,11 @@ from .errors import DataFormatError
 __all__ = [
     "PriceSeries",
     "ReturnSeries",
-    "CountTable",
     "ingest_prices",
     "to_returns",
     "discretize_returns",
     "load_count_table",
     "write_sample_csv",
-    "music_hits_table",
     "music_hits_frequencies",
     "music_hits_by_artist",
 ]
@@ -94,18 +100,6 @@ class ReturnSeries:
 
     def __len__(self) -> int:
         return len(self.values)
-
-
-@dataclass(frozen=True)
-class CountTable:
-    """Labelled frequency rows, e.g. a surname table or the hits table."""
-
-    rows: tuple[tuple[str, int], ...]
-
-    def __post_init__(self):
-        for label, freq in self.rows:
-            if freq < 1:
-                raise ValueError(f"frequencies must be >= 1, got {freq} for {label!r}")
 
 
 def ingest_prices(path: str) -> PriceSeries:
@@ -181,9 +175,84 @@ def load_count_table(path: str, mode: str = "hits") -> FrequencySample:
     ``mode="surnames"``: rows are ``label,frequency`` and each row's
     frequency is one observation; equal frequencies accumulate
     multiplicity.
+
+    The header row must have at least two fields.  Data rows follow RFC
+    4180 quoting; blank lines are skipped; ``#`` is not a comment; columns
+    past the second are ignored.  Integers are ASCII digits with an
+    optional sign and surrounding whitespace, and must fit in int64, so
+    ``1_000``-style and past-int64 integers are refused.  A refused row
+    raises DataFormatError naming its line (the record's ordinal, counting
+    the header as line 1).
+
+    An ASCII file is parsed by numpy in one pass and checked with array
+    operations; any other file, and any file that numpy or a check
+    refuses, is read row by row, which finds the offending line.
     """
     if mode not in ("hits", "surnames"):
         raise ValueError(f"mode must be 'hits' or 'surnames', got {mode!r}")
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    sample = _load_ascii_table(path, raw, mode) if raw.isascii() else None
+    return sample if sample is not None else _load_table_rows(path, mode)
+
+
+_LINE_END = re.compile(rb"[\r\n]")
+_NOT_LINE_END = re.compile(rb"[^\r\n]")
+
+
+def _load_ascii_table(path: str, raw: bytes, mode: str) -> FrequencySample | None:
+    """The table from one ``np.loadtxt`` pass, or None if numpy or a check
+    refuses it.  The header is read here only when it is one unquoted
+    line, and the file must hold a non-blank line after it."""
+    end = _LINE_END.search(raw)
+    if end is None or not _NOT_LINE_END.search(raw, end.end()):
+        return None
+    header = raw[: end.start()]
+    if b'"' in header or b"," not in header:
+        return None
+    try:
+        table = np.loadtxt(
+            path,
+            delimiter=",",
+            quotechar='"',
+            comments=None,
+            dtype=np.int64,
+            skiprows=1,
+            usecols=(0, 1) if mode == "hits" else 1,
+            ndmin=2 if mode == "hits" else 1,
+            encoding="utf-8",
+        )
+    except ValueError:
+        return None
+    if table.min() < 1:
+        return None
+    if mode == "surnames":
+        values, multiplicities = np.unique(table, return_counts=True)
+    else:
+        values, first = np.unique(table[:, 0], return_index=True)
+        if len(values) < len(table):
+            return None  # a duplicate k
+        multiplicities = table[first, 1]
+    return FrequencySample(tuple(zip(values.tolist(), multiplicities.tolist())))
+
+
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
+
+
+def _parse_int(text: str) -> int:
+    """``int(text)`` narrowed to what numpy's int64 reader accepts: ASCII
+    only, no ``_`` separators, within int64.  ValueError otherwise."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"not an ASCII integer: {text!r}")
+    value = int(text)
+    if not _INT64_MIN <= value <= _INT64_MAX:
+        raise ValueError(f"outside int64: {text!r}")
+    return value
+
+
+def _load_table_rows(path: str, mode: str) -> FrequencySample:
+    """load_count_table one row at a time: slow, but names the line of the
+    first refused row."""
     counter: Counter[int] = Counter()
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -196,14 +265,14 @@ def load_count_table(path: str, mode: str = "hits") -> FrequencySample:
             if len(row) < 2:
                 raise DataFormatError("expected two columns", line=lineno)
             try:
-                second = int(row[1])
+                second = _parse_int(row[1])
             except ValueError:
                 raise DataFormatError(f"bad integer {row[1]!r}", line=lineno) from None
             if second < 1:
                 raise DataFormatError(f"counts must be >= 1, got {second}", line=lineno)
             if mode == "hits":
                 try:
-                    k = int(row[0])
+                    k = _parse_int(row[0])
                 except ValueError:
                     raise DataFormatError(f"bad integer {row[0]!r}", line=lineno) from None
                 if k < 1:
@@ -225,11 +294,6 @@ def write_sample_csv(sample: FrequencySample, path: str) -> None:
         writer.writerow(["k", "count"])
         for k, count in sample.entries:
             writer.writerow([k, count])
-
-
-def music_hits_table() -> CountTable:
-    """Table of number-one hits (1955-2003): rows (hits, artists)."""
-    return CountTable(tuple((str(k), n) for k, n in _MUSIC_HITS))
 
 
 def music_hits_frequencies() -> FrequencySample:

@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 import numpy as np
 from scipy.special import gammaln
 
-from .special import log_gamma_ratio
+from .special import log_gamma_ratio, log_gamma_ratio_rows
 
 __all__ = [
     "YuleSimonModel",
@@ -174,7 +174,24 @@ def sample(alpha: float, n: int, seed: int) -> np.ndarray:
     return np.clip(raw, 1, _MAX_DRAW).astype(np.int64)
 
 
-def log_likelihood(data: FrequencySample, alpha: float) -> float:
-    """Sum over entries of count * log_pmf(k, alpha)."""
-    alpha = _check_alpha(alpha)
-    return float(np.dot(data.multiplicities, _log_pmf(data.values, 1.0 / (1.0 - alpha))))
+def log_likelihood(data: FrequencySample, alpha: float | np.ndarray) -> float | np.ndarray:
+    """Sum over entries of count * log_pmf(k, alpha).
+
+    ``alpha`` is a float, or a 1-d array of them, for which an array of
+    log-likelihoods comes back from one array pass; each equals, bit for
+    bit, the float that a call at that alpha alone returns.
+    """
+    if not isinstance(alpha, np.ndarray) or alpha.ndim == 0:
+        alpha = _check_alpha(alpha)
+        return float(np.dot(data.multiplicities, _log_pmf(data.values, 1.0 / (1.0 - alpha))))
+    alphas = alpha.astype(np.float64, copy=False)
+    if alphas.ndim != 1:
+        raise ValueError(f"alpha must be a float or a 1-d array, got shape {alphas.shape}")
+    if not np.all((alphas > 0.0) & (alphas < 1.0)):
+        raise ValueError("alpha must lie in the open interval (0, 1) at every point")
+    c = 1.0 / (1.0 - alphas)
+    # math.log per point, as the scalar call takes it: np.log can round differently
+    head = np.array([math.log(x) for x in c.tolist()]) + gammaln(c + 1.0)
+    rows = head[:, None] + log_gamma_ratio_rows(data.values, c + 1.0)
+    mult = data.multiplicities
+    return np.array([np.dot(mult, row) for row in rows])

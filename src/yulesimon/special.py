@@ -29,6 +29,7 @@ __all__ = [
     "log_gamma",
     "log_beta",
     "log_gamma_ratio",
+    "log_gamma_ratio_rows",
     "digamma",
     "trigamma",
     "hyp3f2_unit",
@@ -90,15 +91,39 @@ def log_gamma_ratio(t, s):
     out = scipy.special.gammaln(t) - scipy.special.gammaln(t + s)
     if t.size and t.max() >= lowest_switch:
         # Both branches over the whole array, then one pick per element:
-        # cheaper than gathering and scattering the two subsets.  The sign
-        # is folded into the terms, which leaves every rounding unchanged.
-        tt = t * t
-        stirling = (
-            ((-s) * np.log(t) - s * (s - 1.0) / (2.0 * t))
-            - (s * s / 4.0 - s**3 / 6.0 - s / 12.0) / tt
-        ) - (s**4 / 12.0 - s**3 / 6.0 + s * s / 12.0) / (tt * t)
-        out = np.where(t < switch, out, stirling)
+        # cheaper than gathering and scattering the two subsets.
+        out = np.where(t < switch, out, _stirling(t, s, s**3, s**4))
     return float(out) if out.ndim == 0 else out
+
+
+def log_gamma_ratio_rows(t, s) -> np.ndarray:
+    """ln Gamma(t_j) - ln Gamma(t_j + s_i) for 1-d t and s, shape (len(s), len(t)).
+
+    Row i is bit for bit ``log_gamma_ratio(t, s[i])``, from one array pass.
+    The scalar call raises s to the third and fourth powers with Python's
+    ``**`` (C ``pow``), and numpy's vector ``**`` may round those
+    differently, so the powers are taken here per s_i in Python too.
+    """
+    t = np.asarray(t, dtype=np.float64)
+    s = np.asarray(s, dtype=np.float64)[:, None]
+    switch = np.maximum(1e4, 1000.0 * s)
+    out = scipy.special.gammaln(t) - scipy.special.gammaln(t + s)
+    if t.size and s.size and t.max() >= switch.min():
+        s_list = s.ravel().tolist()
+        s3 = np.array([x**3 for x in s_list])[:, None]
+        s4 = np.array([x**4 for x in s_list])[:, None]
+        out = np.where(t < switch, out, _stirling(t, s, s3, s4))
+    return out
+
+
+def _stirling(t, s, s3, s4):
+    """The Stirling branch of log_gamma_ratio, given s**3 and s**4.  The
+    sign is folded into the terms, which leaves every rounding unchanged."""
+    tt = t * t
+    return (
+        ((-s) * np.log(t) - s * (s - 1.0) / (2.0 * t))
+        - (s * s / 4.0 - s3 / 6.0 - s / 12.0) / tt
+    ) - (s4 / 12.0 - s3 / 6.0 + s * s / 12.0) / (tt * t)
 
 
 def digamma(x: float) -> float:

@@ -88,3 +88,31 @@ def test_numerical_failure_exits_3(monkeypatch, capsys):
     monkeypatch.setattr(cli, "loss_based_prior", fail)
     assert cli.main(["fit", "--data", "hits", "--prior", "loss", "--seed", "0"]) == 3
     assert "numerical failure" in capsys.readouterr().err
+
+
+def _chains():
+    import numpy as np
+
+    import yulesimon as ys
+
+    hits = ys.music_hits_frequencies()
+    cfg = ys.McmcConfig(iterations=3_000, burn_in=500, seed=7)
+    distinct = np.random.default_rng(5).uniform(1e-9, 1.0, 2_000)
+    return {
+        "discrete": ys.sample_posterior_discrete(hits, ys.loss_based_prior(20), cfg),
+        "continuous": ys.sample_posterior_continuous(hits, ys.JeffreysPrior(), cfg),
+        "all-distinct": ys.Chain(distinct, 0.5, ys.McmcConfig(2_000, 0, 1)),
+    }
+
+
+@pytest.mark.filterwarnings("ignore::yulesimon.TuningWarning")
+@pytest.mark.parametrize("kind", ["discrete", "continuous", "all-distinct"])
+def test_chain_writer_bytes(tmp_path, kind):
+    chain = _chains()[kind]
+    path = tmp_path / "chain.csv"
+    cli._write_chain_csv(str(path), chain)
+    written = path.read_bytes()
+    reference = "draw\n" + "".join(f"{v:.17g}\n" for v in chain.draws)
+    assert written == reference.encode("utf-8")
+    lines = written.decode().splitlines()
+    assert [float(v) for v in lines[1:]] == chain.draws.tolist()

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import yulesimon as ys
 from yulesimon import DataFormatError
+from yulesimon.data import _load_ascii_table
 
 
 def write(tmp_path, name, text):
@@ -133,10 +136,10 @@ class TestCountTables:
 
 class TestEmbeddedHits:
     def test_table_shape(self):
-        table = ys.music_hits_table()
-        assert len(table.rows) == 16
-        assert table.rows[0] == ("1", 119)
-        assert table.rows[-1] == ("16", 1)
+        table = ys.music_hits_by_artist()
+        assert len(table.entries) == 16
+        assert table.entries[0] == (1, 119)
+        assert table.entries[-1] == (16, 1)
 
     def test_by_artist_totals(self):
         sample = ys.music_hits_by_artist()
@@ -155,3 +158,158 @@ class TestEmbeddedHits:
             (57, 1),
             (119, 1),
         )
+
+
+def _reference_load_count_table(path, mode):
+    """The row-by-row loader that the numpy loader replaced: a csv.reader
+    loop with int() on every row.  It accepts `1_000`-style and past-int64
+    integers, which the package loader refuses."""
+    import csv
+    from collections import Counter
+
+    counter = Counter()
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None or len(header) < 2:
+            raise DataFormatError("expected a two-column header row", line=1)
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) < 2:
+                raise DataFormatError("expected two columns", line=lineno)
+            try:
+                second = int(row[1])
+            except ValueError:
+                raise DataFormatError(f"bad integer {row[1]!r}", line=lineno) from None
+            if second < 1:
+                raise DataFormatError(f"counts must be >= 1, got {second}", line=lineno)
+            if mode == "hits":
+                try:
+                    k = int(row[0])
+                except ValueError:
+                    raise DataFormatError(f"bad integer {row[0]!r}", line=lineno) from None
+                if k < 1:
+                    raise DataFormatError(f"values must be >= 1, got {k}", line=lineno)
+                if k in counter:
+                    raise DataFormatError(f"duplicate value {k}", line=lineno)
+                counter[k] = second
+            else:
+                counter[second] += 1
+    if not counter:
+        raise DataFormatError("no data rows found")
+    return ys.FrequencySample(tuple(sorted(counter.items())))
+
+
+def _csv_field(text, quoted):
+    return '"' + text.replace('"', '""') + '"' if quoted else text
+
+
+@st.composite
+def count_tables(draw):
+    """A valid count-table file in either mode, written with the liberties
+    the format allows: quoted fields (labels holding commas, quotes and
+    newlines), whitespace around integers, extra columns, blank lines, and
+    LF or CRLF line endings."""
+    mode = draw(st.sampled_from(["hits", "surnames"]))
+    n_rows = draw(st.integers(1, 40))
+    ints = st.integers(1, 2**62)
+    if mode == "hits":
+        firsts = [str(k) for k in draw(st.lists(ints, min_size=n_rows, max_size=n_rows, unique=True))]
+    else:
+        label = st.text(st.sampled_from('ab ,"\nZü'), min_size=0, max_size=6)
+        firsts = draw(st.lists(label, min_size=n_rows, max_size=n_rows))
+    seconds = draw(st.lists(st.integers(1, 50), min_size=n_rows, max_size=n_rows))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    lines = ["label,frequency" if mode == "surnames" else "k,count"]
+    for first, second in zip(firsts, seconds):
+        needs_quotes = any(c in first for c in ',"\n') or first.strip() != first
+        pad, trail = draw(st.sampled_from(["", " ", "\t", "  "])), draw(st.sampled_from(["", " ", "\t"]))
+        fields = [
+            _csv_field(first, needs_quotes or draw(st.booleans())),
+            _csv_field(f"{pad}{second}{trail}", draw(st.booleans())),
+        ]
+        fields += draw(st.lists(st.sampled_from(["x", "", "7", '"a,b"']), max_size=2))
+        lines.append(",".join(fields))
+        lines.extend([""] * draw(st.integers(0, 1)))
+    return mode, newline.join(lines) + draw(st.sampled_from(["", newline]))
+
+
+class TestCountTableLoader:
+    """The numpy loader against the row-by-row reference it replaced."""
+
+    @settings(
+        max_examples=150,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(count_tables())
+    def test_matches_reference_loader(self, tmp_path, table):
+        mode, text = table
+        path = tmp_path / "table.csv"
+        path.write_bytes(text.encode("utf-8"))
+        expected = _reference_load_count_table(str(path), mode)
+        assert ys.load_count_table(str(path), mode=mode) == expected
+        raw = path.read_bytes()
+        if raw.isascii():  # numpy, not the row loop, must have accepted it
+            assert _load_ascii_table(str(path), raw, mode) == expected
+
+    @pytest.mark.parametrize(
+        "mode, text, line",
+        [
+            ("hits", "k,count\n1,abc\n", 2),
+            ("surnames", "label,frequency\nA,3\nB,0\n", 3),
+            ("hits", "k,count\n1,3\n2,4\n1,5\n", 4),
+            ("surnames", "label,frequency\nA,3\nB\n", 3),
+            ("surnames", "label,frequency\nA,3\n   \nB,4\n", 3),
+            ("surnames", "label,frequency\n", None),
+            ("surnames", "label,frequency\n\n\r\n", None),
+            ("hits", "", 1),
+            ("hits", "k\n1,2\n", 1),
+            ("surnames", 'label,frequency\n"A\nB",x\n', 2),
+        ],
+        ids=[
+            "bad-integer", "zero-count", "duplicate-k", "short-row",
+            "whitespace-line", "header-only", "blank-lines-only", "empty-file",
+            "one-column-header", "bad-integer-after-quoted-newline",
+        ],
+    )
+    def test_refusals_name_the_reference_line(self, tmp_path, mode, text, line):
+        path = write(tmp_path, "bad.csv", text)
+        with pytest.raises(DataFormatError) as reference:
+            _reference_load_count_table(path, mode)
+        with pytest.raises(DataFormatError) as refused:
+            ys.load_count_table(path, mode=mode)
+        assert refused.value.line == reference.value.line == line
+        assert str(refused.value) == str(reference.value)
+
+    def test_bad_integer_deep_in_a_large_file(self, tmp_path):
+        rows = [f"S{i},{i % 97 + 1}" for i in range(100_000)]
+        rows[50_000] = "S50000,12x"  # line 50,002: the header is line 1
+        path = write(tmp_path, "big.csv", "label,frequency\n" + "\n".join(rows) + "\n")
+        with pytest.raises(DataFormatError) as reference:
+            _reference_load_count_table(path, "surnames")
+        with pytest.raises(DataFormatError, match="line 50002: bad integer '12x'") as refused:
+            ys.load_count_table(path, mode="surnames")
+        assert refused.value.line == reference.value.line == 50_002
+
+    @pytest.mark.parametrize(
+        "field", ["9223372036854775808", "1_000", "١٢"]
+    )
+    def test_narrowed_integers_are_refused(self, tmp_path, field):
+        # The reference's int() takes these; numpy's int64 reader does not.
+        path = write(tmp_path, "t.csv", f"label,frequency\nA,3\nB,{field}\n")
+        _reference_load_count_table(path, "surnames")
+        with pytest.raises(DataFormatError, match=f"line 3: bad integer {field!r}"):
+            ys.load_count_table(path, mode="surnames")
+
+    def test_largest_int64_is_accepted(self, tmp_path):
+        path = write(tmp_path, "t.csv", f"k,count\n{2**63 - 1},2\n")
+        assert ys.load_count_table(path, mode="hits").entries == ((2**63 - 1, 2),)
+
+    def test_cr_line_endings_and_quoted_header(self, tmp_path):
+        # Both are read by the row loop; the result is the reference's.
+        for text in ("k,count\r1,3\r2,4\r", '"k\nx",count\n1,3\n2,4\n'):
+            path = write(tmp_path, "t.csv", text)
+            expected = _reference_load_count_table(path, "hits")
+            assert ys.load_count_table(path, mode="hits") == expected

@@ -182,6 +182,32 @@ class TestLogLikelihood:
             assert ys.log_likelihood(sample, alpha) == pytest.approx(direct, rel=1e-13)
 
 
+def _grid_samples():
+    surnames = FrequencySample.from_observations(ys.sample(0.3, 100_000, seed=20160419))
+    # k >= 1e4 takes log_gamma_ratio's Stirling branch for s < k / 1000
+    heavy = FrequencySample(((1, 50), (3, 7), (12_000, 2), (10**6, 1), (10**8, 1)))
+    return {"surnames": surnames, "heavy-tail": heavy}
+
+
+class TestGridLogLikelihood:
+    """log_likelihood over a 1-d array of alpha against one call per alpha."""
+
+    @pytest.mark.parametrize("m", [10, 20, 1000])
+    @pytest.mark.parametrize("name", ["hits", "surnames", "heavy-tail"])
+    def test_bitwise_equal_to_scalar_calls(self, hits, name, m):
+        data = hits if name == "hits" else _grid_samples()[name]
+        alphas = np.arange(1, m) / m
+        grid = ys.log_likelihood(data, alphas)
+        assert isinstance(grid, np.ndarray) and grid.shape == (m - 1,)
+        scalar = np.array([ys.log_likelihood(data, float(a)) for a in alphas])
+        np.testing.assert_array_equal(grid, scalar)
+
+    @pytest.mark.parametrize("alphas", [[0.2, 1.0], [0.0, 0.5], [[0.2, 0.3]]])
+    def test_domain_errors(self, hits, alphas):
+        with pytest.raises(ValueError):
+            ys.log_likelihood(hits, np.array(alphas))
+
+
 class TestTailExpectationIdentity:
     @pytest.mark.parametrize("alpha", [0.2, 0.5, 0.8])
     def test_expected_inverse_sum_is_one_minus_alpha(self, alpha):

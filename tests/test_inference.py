@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 import yulesimon as ys
 from yulesimon import Chain, FrequencySample, McmcConfig, PosteriorSummary
@@ -146,6 +147,21 @@ class TestExactGridPosterior:
     def test_hits_m20_regression(self, hits, loss_prior_20):
         post = ys.exact_grid_posterior(hits, loss_prior_20)
         np.testing.assert_allclose(post.masses, HITS_M20_POSTERIOR, rtol=1e-9, atol=1e-300)
+
+    @pytest.mark.parametrize("m", [10, 20, 1000])
+    def test_masses_match_per_point_likelihoods_bitwise(self, hits, m):
+        # The normalization written out with one log_likelihood call per
+        # grid point, as it stood before the likelihood took arrays.
+        prior = ys.loss_based_prior(m)
+        data = FrequencySample.from_observations(ys.sample(0.3, 20_000, seed=8))
+        for sample in (hits, data):
+            log_w = np.log(prior.masses) + np.array(
+                [ys.log_likelihood(sample, float(a)) for a in prior.support]
+            )
+            log_w -= logsumexp(log_w)
+            masses = np.exp(log_w)
+            masses /= masses.sum()
+            np.testing.assert_array_equal(ys.exact_grid_posterior(sample, prior).masses, masses)
 
 
 class TestPosteriorBehaviour:

@@ -21,7 +21,7 @@ from yulesimon import (
     log_gamma_ratio,
     trigamma,
 )
-from yulesimon.special import _HEAD, _excess_estimate
+from yulesimon.special import _HEAD, _excess_estimate, log_gamma_ratio_rows
 
 TIGHT = SeriesControl(rel_tol=1e-12)
 
@@ -253,6 +253,18 @@ class TestLogGammaRatio:
 
     def test_empty_input(self):
         assert log_gamma_ratio(np.array([]), 2.0).shape == (0,)
+
+
+class TestLogGammaRatioRows:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_rows_bitwise_equal_scalar_calls(self, seed):
+        rng = np.random.default_rng(seed)
+        t = np.exp(rng.uniform(0.0, 30.0, 60))  # both branches
+        s = rng.uniform(1.0, 3000.0, 50)
+        rows = log_gamma_ratio_rows(t, s)
+        assert rows.shape == (50, 60)
+        for row, s_i in zip(rows, s.tolist()):
+            np.testing.assert_array_equal(row, log_gamma_ratio(t, s_i))
 
 
 class TestIntegrateUnitInterval:
