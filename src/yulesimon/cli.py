@@ -102,14 +102,19 @@ def _load_fit_data(args) -> FrequencySample:
     return data_mod.discretize_returns(data_mod.to_returns(prices), decimals=args.decimals)
 
 
+def _write_csv(path: str, header: str, lines) -> None:
+    """The header line, then ``lines`` (each ending in a newline), written in
+    one call."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(header + "\n" + "".join(lines))
+
+
 def _write_chain_csv(path: str, chain: Chain) -> None:
     """One ``f"{draw:.17g}"`` line per draw; each distinct draw is formatted
     once (a grid chain holds few), and the file is written in one call."""
     values, inverse = np.unique(chain.draws, return_inverse=True)
     lines = [f"{value:.17g}\n" for value in values.tolist()]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("draw\n")
-        fh.write("".join(map(lines.__getitem__, inverse.tolist())))
+    _write_csv(path, "draw", map(lines.__getitem__, inverse.tolist()))
 
 
 def _write_summary_json(path: str, label: str, chain: Chain) -> None:
@@ -133,21 +138,20 @@ def _write_summary_json(path: str, label: str, chain: Chain) -> None:
 def _cmd_prior(args) -> int:
     if args.kind == "loss":
         prior = loss_based_prior(args.m)
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write("alpha,mass\n")
-            for alpha, mass in zip(prior.support, prior.masses):
-                fh.write(f"{alpha:.17g},{mass:.17g}\n")
+        pairs = zip(prior.support.tolist(), prior.masses.tolist())
+        _write_csv(args.out, "alpha,mass", (f"{a:.17g},{p:.17g}\n" for a, p in pairs))
         return 0
     if args.grid_points < 1:
         raise _UsageError("--grid-points must be >= 1")
     prior = JeffreysPrior()
     normalizer = prior.normalizer()
     grid = np.arange(1, args.grid_points + 1) / (args.grid_points + 1)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write("alpha,unnormalized,density\n")
-        for alpha in grid:
-            q = prior.unnormalized(float(alpha))
-            fh.write(f"{alpha:.17g},{q:.17g},{q / normalizer:.17g}\n")
+    rows = ((alpha, prior.unnormalized(alpha)) for alpha in grid.tolist())
+    _write_csv(
+        args.out,
+        "alpha,unnormalized,density",
+        (f"{alpha:.17g},{q:.17g},{q / normalizer:.17g}\n" for alpha, q in rows),
+    )
     return 0
 
 
@@ -198,19 +202,13 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_sample(args) -> int:
     draws = sample_draws(args.alpha, args.n, args.seed)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write("k\n")
-        for k in draws:
-            fh.write(f"{int(k)}\n")
+    _write_csv(args.out, "k", (f"{k}\n" for k in draws.tolist()))
     return 0
 
 
 def _cmd_transform_returns(args) -> int:
     returns = data_mod.to_returns(data_mod.ingest_prices(args.in_path))
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write("z\n")
-        for z in returns.values:
-            fh.write(f"{z:.17g}\n")
+    _write_csv(args.out, "z", (f"{z:.17g}\n" for z in returns.values.tolist()))
     return 0
 
 

@@ -156,26 +156,34 @@ _LOG_H_SIGNS = np.array([1.0, 1.0, -2.0])
 _ZETA_ORDERS = np.array([[2.0], [3.0]])
 
 
-def _head_sum(a: float, b: float, head: int) -> float:
-    """The terms l = 1..head, summed in blocks that carry the running term.
+def _head_sum(
+    a: float, b: float, head: int, start: int = 0, total: float = 0.0, term: float = 1.0
+) -> tuple[float, float]:
+    """Adds the terms l = start+1..head to ``total``, given ``term``, the
+    l = start term; returns the new total and the l = head term.
 
-    Each block is m0 + m over a view m of one constant index array, with m0
-    folded into the scalars: no index array is built per call.
+    The terms are summed in blocks that carry the running term, each block
+    m0 + m over a view m of one constant index array, with m0 folded into
+    the scalars: no index array is built per call.  A grown head continues
+    the last one by passing its total and term back in.
     """
-    total, term = 0.0, 1.0
-    for m0 in range(0, head, _HEAD_BLOCK):
+    for m0 in range(start, head, _HEAD_BLOCK):
         m = _BLOCK_M[: head - m0]
         bm = m + (b + m0)
         block = ((m + (m0 + 1.0)) * (m + (a + m0)) / (bm * bm)).cumprod()
         total += term * float(block.sum())
         term *= float(block[-1])
-    return total
+    return total, term
 
 
-def _excess_estimate(a: float, b: float, head: int) -> tuple[float, float]:
-    """The excess summed to l = head and closed by Euler-Maclaurin from
-    A = head + 1; returns it with the remainder estimate |h'''(A)|/720."""
-    head_sum = _head_sum(a, b, head)
+def _excess_estimate(
+    a: float, b: float, head: int, head_sum: float | None = None
+) -> tuple[float, float]:
+    """The excess summed to l = head (or given that sum) and closed by
+    Euler-Maclaurin from A = head + 1; returns it with the remainder
+    estimate |h'''(A)|/720."""
+    if head_sum is None:
+        head_sum = _head_sum(a, b, head)[0]
 
     # Under t = A e^(x/r) the tail integral is (1/r) times the integral of
     # e^-x [e^x t h(t)] over (0, inf), and the bracket tends to a constant.
@@ -218,8 +226,9 @@ def hyp3f2_unit_excess(a: float, b: float, ctrl: SeriesControl = SeriesControl()
     when the full series is close to 1.
 
     Head: the first 128 terms, by the recurrence
-    t_{l+1} = t_l (l+1)(a+l)/(b+l)^2.  A grown head is summed in blocks of
-    4,096 terms that carry the running term, so its memory stays flat.
+    t_{l+1} = t_l (l+1)(a+l)/(b+l)^2.  A grown head continues the last one
+    in blocks of 4,096 terms that carry the running term, so no term is
+    summed twice and the memory stays flat.
 
     Closure: the terms continue to real t as
     h(t) = G(t+1) G(t+a) G(b)^2 / (G(a) G(t+b)^2), and the rest of the
@@ -234,7 +243,9 @@ def hyp3f2_unit_excess(a: float, b: float, ctrl: SeriesControl = SeriesControl()
 
     Bound: the result is returned when |h'''(A)|/720, the size of the last
     closure term, is at most ctrl.rel_tol * (1 + excess); otherwise the head
-    grows x4, up to ctrl.max_terms.
+    grows x4, up to ctrl.max_terms.  The bound falls no faster than
+    A^-(r+4), so a tolerance that a head of ctrl.max_terms terms would miss
+    even at that rate is refused at once.
 
     Cost: the 128-term head meets rel_tol = 1e-12 on the whole b = a + 1 >= 3
     family the package uses, so a call costs the same (tens of microseconds)
@@ -247,9 +258,10 @@ def hyp3f2_unit_excess(a: float, b: float, ctrl: SeriesControl = SeriesControl()
         r = 2b - a - 2 < 2 (the quadrature is accurate only for tails at
         least that steep; the family b = a + 1 >= 3 has r = a >= 2).
     SeriesConvergenceError
-        If the bound is not met with a head of ctrl.max_terms terms, or
-        ctrl.max_terms is below the 128-term first head; carries the estimate
-        of the full series and the bound.
+        If the bound is not met with a head of ctrl.max_terms terms, cannot
+        be met by one at the bound's fastest decay, or ctrl.max_terms is
+        below the 128-term first head; carries the estimate of the full
+        series and the bound of the last head summed.
     """
     a = _require_positive("a", a)
     b = _require_positive("b", b)
@@ -258,18 +270,24 @@ def hyp3f2_unit_excess(a: float, b: float, ctrl: SeriesControl = SeriesControl()
     if 2.0 * b - a - 2.0 < 2.0:
         raise ValueError(f"tail closure requires 2b - a >= 4, got a={a}, b={b}")
     head = min(_HEAD, ctrl.max_terms)
-    while True:
-        f1, bound = _excess_estimate(a, b, head)
-        if head >= _HEAD and bound <= ctrl.rel_tol * (1.0 + f1):
-            return f1
-        if head >= ctrl.max_terms:
+    head_sum, term = _head_sum(a, b, head)
+    f1, bound = _excess_estimate(a, b, head, head_sum)
+    while not (head >= _HEAD and bound <= ctrl.rel_tol * (1.0 + f1)):
+        # the bound falls like A^-(r+4) at best: the least any head up to
+        # the cap can reach
+        least = bound * ((head + 1.0) / (ctrl.max_terms + 1.0)) ** (2.0 * b - a + 2.0)
+        if head >= ctrl.max_terms or least > ctrl.rel_tol * (1.0 + f1):
             raise SeriesConvergenceError(
-                f"3F2 series did not converge within {ctrl.max_terms} terms "
+                f"3F2 series cannot converge within {ctrl.max_terms} terms "
                 f"(a={a}, b={b}, rel_tol={ctrl.rel_tol})",
                 estimate=1.0 + f1,
                 error_bound=bound,
             )
-        head = min(4 * head, ctrl.max_terms)
+        grown = min(4 * head, ctrl.max_terms)
+        head_sum, term = _head_sum(a, b, grown, head, head_sum, term)
+        head = grown
+        f1, bound = _excess_estimate(a, b, head, head_sum)
+    return f1
 
 
 def hyp3f2_unit(a: float, b: float, ctrl: SeriesControl = SeriesControl()) -> float:

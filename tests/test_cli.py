@@ -116,3 +116,63 @@ def test_chain_writer_bytes(tmp_path, kind):
     assert written == reference.encode("utf-8")
     lines = written.decode().splitlines()
     assert [float(v) for v in lines[1:]] == chain.draws.tolist()
+
+
+def _run_and_read(tmp_path, argv):
+    out = tmp_path / "out.csv"
+    assert cli.main(argv + ["--out", str(out)]) == 0
+    return out.read_bytes()
+
+
+def test_sample_bytes(tmp_path):
+    import yulesimon as ys
+
+    written = _run_and_read(tmp_path, ["sample", "--alpha", "0.3", "--n", "20000", "--seed", "3"])
+    reference = "k\n" + "".join(f"{int(k)}\n" for k in ys.sample(0.3, 20_000, 3))
+    assert written == reference.encode("utf-8")
+
+
+def test_loss_prior_bytes(tmp_path):
+    import yulesimon as ys
+
+    written = _run_and_read(tmp_path, ["prior", "--kind", "loss", "--m", "100"])
+    prior = ys.loss_based_prior(100)
+    reference = "alpha,mass\n" + "".join(
+        f"{alpha:.17g},{mass:.17g}\n" for alpha, mass in zip(prior.support, prior.masses)
+    )
+    assert written == reference.encode("utf-8")
+
+
+def test_jeffreys_prior_bytes(tmp_path):
+    import numpy as np
+
+    import yulesimon as ys
+
+    written = _run_and_read(tmp_path, ["prior", "--kind", "jeffreys", "--grid-points", "51"])
+    prior = ys.JeffreysPrior()
+    normalizer = prior.normalizer()
+    lines = []
+    for alpha in np.arange(1, 52) / 52:
+        q = prior.unnormalized(float(alpha))
+        lines.append(f"{alpha:.17g},{q:.17g},{q / normalizer:.17g}\n")
+    assert written == ("alpha,unnormalized,density\n" + "".join(lines)).encode("utf-8")
+
+
+def test_transform_returns_bytes(tmp_path):
+    import datetime
+
+    import numpy as np
+
+    import yulesimon as ys
+
+    prices = tmp_path / "prices.csv"
+    start = datetime.date(2001, 1, 1)
+    walk = 100.0 * np.exp(np.cumsum(np.random.default_rng(2).normal(0.0, 0.02, 500)))
+    prices.write_text(
+        "date,adj_close\n"
+        + "".join(f"{start + datetime.timedelta(days=i)},{p!r}\n" for i, p in enumerate(walk.tolist()))
+    )
+    written = _run_and_read(tmp_path, ["transform-returns", "--in", str(prices)])
+    returns = ys.to_returns(ys.ingest_prices(str(prices)))
+    reference = "z\n" + "".join(f"{z:.17g}\n" for z in returns.values)
+    assert written == reference.encode("utf-8")

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -22,6 +23,10 @@ KL_05_06_BRUTE = 0.010397540660891
 KL_037_036_MP = 3.4086543815946552011014070e-07
 KL_05_06_MP = 0.010397540661047532057317279
 KL_09_091_MP = 5.3468907055513032905869208870e-04  # c = 10 against c = 11.1
+# c = 1e5 against 5e4, from the same 40-digit sums of the by-parts series
+# sum_i S_c(i) phi(delta/(c+i)) - phi(delta/c), which give the three values
+# above to every digit shown
+KL_99999_99998_MP = 3.068508879364235118894501285e-06
 
 # Loss-based M=10 masses from a brute-force KL matrix (every pair summed to
 # k = 1e7); agreement tolerance covers the brute matrix's own truncation.
@@ -173,19 +178,26 @@ class TestKlDivergence:
         assert ys.kl_divergence(0.1, 0.4) != ys.kl_divergence(0.4, 0.1)
 
     def test_close_pair_mpmath_golden(self):
-        # neighbours of an M = 1000 grid: the KL is ~3e-7, far below the
-        # O(1) sums it is built from
+        # neighbours of an M = 1000 grid: the KL is ~3e-7, and summed by
+        # parts it is built from O(delta^2) terms, with delta taken from the
+        # alphas, so it keeps all but its last digits
         value = ys.kl_divergence(0.037, 0.036)
-        assert value == pytest.approx(KL_037_036_MP, rel=1e-9, abs=0)
+        assert value == pytest.approx(KL_037_036_MP, rel=1e-12, abs=0)
 
     def test_steep_pair_mpmath_golden(self):
         # c = 10: the terms fall like k^-11, unlike the c ~ 1 and 2 goldens
         value = ys.kl_divergence(0.9, 0.91)
         assert value == pytest.approx(KL_09_091_MP, rel=1e-12, abs=0)
 
+    def test_large_c_pair_mpmath_golden(self):
+        # the top neighbours of an M = 10^5 grid: the first term and
+        # phi(delta/c) nearly cancel, so they are taken in closed form
+        value = ys.kl_divergence(0.99999, 0.99998)
+        assert value == pytest.approx(KL_99999_99998_MP, rel=1e-13, abs=0)
+
     def test_grown_head_matches_mpmath(self):
-        # the first 1,024-term head cannot meet rel_tol=1e-20 here, so the
-        # head grows to 16,384 terms
+        # the first 128-term head cannot meet rel_tol=1e-20 here, so the
+        # head grows to 2,048 terms
         value = ys.kl_divergence(0.5, 0.6, SeriesControl(rel_tol=1e-20))
         assert value == pytest.approx(KL_05_06_MP, rel=1e-13, abs=0)
 
@@ -204,6 +216,33 @@ class TestKlDivergence:
         ys.kl_divergence(0.5, 0.6, SeriesControl(rel_tol=1e-20))
         assert heads[0] == priors._KL_HEAD
         assert len(heads) > 1 and heads[-1] > priors._KL_HEAD
+
+    @pytest.mark.parametrize("m", [10, 1000])
+    def test_grown_head_continues_the_last(self, m, monkeypatch):
+        # a head grown from 128 to 512 terms evaluates only terms 129..512
+        # (plus the 17 closure nodes and phi(delta/c)) in each direction, and
+        # agrees with a 512-term head summed from term 1
+        support = np.arange(1, m) / m
+        cs = 1.0 / (1.0 - support)
+        state = priors._KlHead(cs, np.diff(cs))
+        priors._neighbour_kl(state, priors._KL_HEAD)
+        evaluated = []
+        phi = priors._phi
+        monkeypatch.setattr(priors, "_phi", lambda x: evaluated.append(x.size) or phi(x))
+        grown, grown_rem = priors._neighbour_kl(state, 4 * priors._KL_HEAD)
+        assert sum(evaluated) == 2 * (m - 2) * (3 * priors._KL_HEAD + 17 + 1)  # m-2 pairs
+        assert state.terms == 4 * priors._KL_HEAD
+        fresh, fresh_rem = priors._neighbour_kl(cs, 4 * priors._KL_HEAD)
+        np.testing.assert_allclose(grown, fresh, rtol=1e-14, atol=0)
+        np.testing.assert_allclose(grown_rem, fresh_rem, rtol=1e-14, atol=0)
+
+    def test_cap_below_first_head_raises(self):
+        # 100 terms would meet the tolerance at c = 10, but as in the 3F2
+        # series a cap below the first head is refused
+        with pytest.raises(ys.SeriesConvergenceError):
+            ys.kl_divergence(0.9, 0.91, SeriesControl(max_terms=100))
+        value = ys.kl_divergence(0.9, 0.91, SeriesControl(max_terms=200))
+        assert value == pytest.approx(KL_09_091_MP, rel=1e-12, abs=0)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
@@ -244,13 +283,38 @@ class TestLossBasedPrior:
         expected = np.expm1(worth) / np.expm1(worth).sum()
         np.testing.assert_allclose(ys.loss_based_prior(m).masses, expected, rtol=1e-9)
 
-    @pytest.mark.parametrize("m", [10, 100, 1000])
+    @pytest.mark.parametrize("m", [10, 100, 1000, 10_000])
     def test_first_head_certifies(self, m, monkeypatch):
         # the cost guard: the default tolerance is met by one kernel call on
         # the first head, without growing it
         heads = _spy_on_kl_heads(monkeypatch)
         ys.loss_based_prior(m)
         assert heads == [priors._KL_HEAD]
+
+    @pytest.mark.parametrize("m, bound", [(1000, 1.5e-5), (10_000, 1.5e-7)])
+    def test_symmetric_kl_matches_fisher_information(self, m, bound):
+        # an oracle outside the KL code: (KL(i||i+1) + KL(i+1||i))/2 against
+        # I(mid)/(2 M^2) from the 3F2 route; they differ by O(1/M^2),
+        # measured at 1.0e-5 (M = 1,000) and 1.0e-7 (M = 10^4)
+        support = np.arange(1, m) / m
+        kl = priors._certified_neighbour_kl(support, SeriesControl())
+        mid = (support[:-1] + support[1:]) / 2.0
+        inside = (mid > 0.1) & (mid < 0.9)
+        fisher = np.array([ys.fisher_information(float(a)) for a in mid[inside]])
+        symmetric = kl[:, inside].mean(axis=0)
+        assert np.max(np.abs(symmetric / (0.5 * fisher / m**2) - 1.0)) < bound
+
+    def test_memory_flat_in_m(self):
+        # the head and closure go block by block: at M = 10^5 the traced
+        # peak is the O(M) output arrays (about 12 MB), not the 128 x M head
+        tracemalloc.start()
+        try:
+            prior = ys.loss_based_prior(100_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 50e6
+        assert abs(prior.masses.sum() - 1.0) <= 1e-12
 
     def test_series_cap_raises_with_estimate(self):
         with pytest.raises(ys.SeriesConvergenceError) as err:

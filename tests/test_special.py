@@ -21,6 +21,7 @@ from yulesimon import (
     log_gamma_ratio,
     trigamma,
 )
+from yulesimon import special
 from yulesimon.special import _HEAD, _excess_estimate, log_gamma_ratio_rows
 
 TIGHT = SeriesControl(rel_tol=1e-12)
@@ -187,12 +188,40 @@ class TestHyp3f2:
         assert grown == pytest.approx(first, rel=1e-14, abs=0)
 
     def test_unreachable_tolerance_raises_with_accurate_sum(self):
-        # 1e-60 is out of reach of a 1e7-term head: the head grows to the
-        # cap, and the error carries the sum that head gives
+        # 1e-60 is out of reach of a 1e7-term head, and the error carries
+        # the sum of the last head summed
         first = hyp3f2_unit_excess(2.003, 3.003)
         with pytest.raises(SeriesConvergenceError) as err:
             hyp3f2_unit_excess(2.003, 3.003, SeriesControl(rel_tol=1e-60))
         assert err.value.estimate == pytest.approx(1.0 + first, rel=1e-14, abs=0)
+
+    def test_unreachable_tolerance_refused_from_first_head(self, monkeypatch):
+        # the bound falls like A^-(r+4) at best, so no head up to the cap can
+        # meet 1e-60: only the first head is summed, and the error carries
+        # its estimate and bound
+        first, bound = _excess_estimate(2.003, 3.003, _HEAD)
+        calls = _spy_on_head_sums(monkeypatch)
+        with pytest.raises(SeriesConvergenceError) as err:
+            hyp3f2_unit_excess(2.003, 3.003, SeriesControl(rel_tol=1e-60))
+        assert calls == [(0, _HEAD)]
+        assert err.value.estimate == 1.0 + first
+        assert err.value.error_bound == bound
+
+    def test_grown_head_continues_the_last(self, monkeypatch):
+        # each grown head sums only the terms past the last one
+        calls = _spy_on_head_sums(monkeypatch)
+        hyp3f2_unit_excess(2.003, 3.003, SeriesControl(rel_tol=1e-30))
+        assert len(calls) > 2 and calls[0] == (0, _HEAD)
+        for (_, last), (start, head) in zip(calls, calls[1:]):
+            assert (start, head) == (last, 4 * last)
+
+    def test_first_head_value_unchanged_on_dense_alpha_grid(self):
+        # the default tolerance is met by the first head at every alpha, and
+        # the result is that head's estimate bit for bit
+        for alpha in np.linspace(1e-4, 1.0 - 1e-4, 2001):
+            c = 1.0 / (1.0 - float(alpha))
+            first_head, _ = _excess_estimate(c + 1.0, c + 2.0, _HEAD)
+            assert hyp3f2_unit_excess(c + 1.0, c + 2.0) == first_head
 
     def test_grown_head_memory_is_bounded(self):
         # the head is summed block by block, so a 1e7-term head stays small;
@@ -215,6 +244,19 @@ class TestHyp3f2:
         longer, _ = _excess_estimate(c + 1.0, c + 2.0, 4 * _HEAD)
         # the remainder estimate plus a few ulps of rounding
         assert abs(short - longer) <= bound + 4.0 * np.finfo(float).eps * (1.0 + longer)
+
+
+def _spy_on_head_sums(monkeypatch):
+    """Record (start, head) of every 3F2 head-sum call."""
+    calls = []
+    head_sum = special._head_sum
+
+    def spy(a, b, head, start=0, *carry):
+        calls.append((start, head))
+        return head_sum(a, b, head, start, *carry)
+
+    monkeypatch.setattr(special, "_head_sum", spy)
+    return calls
 
 
 def _branchwise_log_gamma_ratio(t, s):
