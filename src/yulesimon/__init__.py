@@ -63,6 +63,7 @@ from .priors import (
     fisher_information,
     fisher_information_oracle,
     jeffreys_log_unnormalized,
+    jeffreys_log_unnormalized_array,
     jeffreys_normalizer,
     jeffreys_unnormalized,
     kl_divergence,
@@ -138,6 +139,7 @@ __all__ = [
     "fisher_information",
     "fisher_information_oracle",
     "jeffreys_log_unnormalized",
+    "jeffreys_log_unnormalized_array",
     "jeffreys_normalizer",
     "jeffreys_unnormalized",
     "kl_divergence",

@@ -2,13 +2,17 @@
 
 Subcommands: prior, fit, simulate, sample, transform-returns.  Every
 randomized subcommand requires an explicit --seed (reproducibility is the
-point; there is no wall-clock default).  Exit codes: 0 success, 1 usage
-error, 2 data error, 3 numerical failure.
+point; there is no wall-clock default).  Exit codes: 0 success; 1 usage
+error, for an argument the parser refuses or a value the package's
+constructors refuse (``--iters 0``, ``--alpha 1.5``, ``--m 2``); 2 data
+error (a malformed or undecodable input file, or one that cannot be read
+or written); 3 numerical failure.  Any other exception propagates.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
@@ -16,7 +20,7 @@ import numpy as np
 
 from . import data as data_mod
 from .distribution import FrequencySample, sample as sample_draws
-from .errors import NumericError
+from .errors import DataFormatError, NumericError
 from .experiments import PriorSpec, StudyConfig, default_grid, run_coverage_study
 from .inference import (
     Chain,
@@ -35,6 +39,17 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would exit(2); the contract is 1
         raise _UsageError(message)
+
+
+@contextlib.contextmanager
+def _argument_values():
+    """Turns the ValueError of a constructor given argument values into a
+    usage error.  Only such constructors run inside it, so no data error
+    or program fault is taken for one."""
+    try:
+        yield
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from exc
 
 
 def _build_parser() -> _Parser:
@@ -137,6 +152,8 @@ def _write_summary_json(path: str, label: str, chain: Chain) -> None:
 
 def _cmd_prior(args) -> int:
     if args.kind == "loss":
+        with _argument_values():
+            PriorSpec("loss", args.m)
         prior = loss_based_prior(args.m)
         pairs = zip(prior.support.tolist(), prior.masses.tolist())
         _write_csv(args.out, "alpha,mass", (f"{a:.17g},{p:.17g}\n" for a, p in pairs))
@@ -156,13 +173,18 @@ def _cmd_prior(args) -> int:
 
 
 def _cmd_fit(args) -> int:
+    with _argument_values():
+        cfg = McmcConfig(
+            iterations=args.iters,
+            burn_in=args.burnin,
+            seed=args.seed,
+            proposal_scale=args.proposal_scale,
+        )
+        if args.prior == "loss":
+            PriorSpec("loss", args.m)
+    if args.decimals < 0:
+        raise _UsageError(f"--decimals must be >= 0, got {args.decimals}")
     data = _load_fit_data(args)
-    cfg = McmcConfig(
-        iterations=args.iters,
-        burn_in=args.burnin,
-        seed=args.seed,
-        proposal_scale=args.proposal_scale,
-    )
     if args.prior == "jeffreys":
         label = "jeffreys"
         chain = sample_posterior_continuous(data, JeffreysPrior(), cfg)
@@ -184,24 +206,26 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    spec = (
-        PriorSpec("jeffreys") if args.prior == "jeffreys" else PriorSpec("loss", args.m)
-    )
-    cfg = StudyConfig(
-        alphas=default_grid(args.m),
-        n=args.n,
-        replicates=args.reps,
-        mcmc=McmcConfig(iterations=args.iters, burn_in=args.burnin, seed=0),
-        prior_spec=spec,
-        master_seed=args.seed,
-    )
+    with _argument_values():
+        spec = (
+            PriorSpec("jeffreys") if args.prior == "jeffreys" else PriorSpec("loss", args.m)
+        )
+        cfg = StudyConfig(
+            alphas=default_grid(args.m),
+            n=args.n,
+            replicates=args.reps,
+            mcmc=McmcConfig(iterations=args.iters, burn_in=args.burnin, seed=0),
+            prior_spec=spec,
+            master_seed=args.seed,
+        )
     result = run_coverage_study(cfg, workers=args.workers)
     result.to_csv(args.out)
     return 0
 
 
 def _cmd_sample(args) -> int:
-    draws = sample_draws(args.alpha, args.n, args.seed)
+    with _argument_values():  # a pure function of the arguments
+        draws = sample_draws(args.alpha, args.n, args.seed)
     _write_csv(args.out, "k", (f"{k}\n" for k in draws.tolist()))
     return 0
 
@@ -230,8 +254,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)
         return 1
-    except (ValueError, FileNotFoundError, IsADirectoryError) as exc:
-        # DataFormatError is a ValueError
+    except (DataFormatError, UnicodeDecodeError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
     except NumericError as exc:

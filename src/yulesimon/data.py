@@ -20,6 +20,7 @@ past-int64 integers are refused.
 from __future__ import annotations
 
 import csv
+import io
 import math
 import re
 from collections import Counter
@@ -142,7 +143,7 @@ def ingest_prices(path: str) -> PriceSeries:
 def to_returns(prices: PriceSeries) -> ReturnSeries:
     """z_t = |r_t / r_{t-1} - 1| * 100, preserving order; length n-1."""
     if len(prices) < 2:
-        raise ValueError("need at least two prices to form returns")
+        raise DataFormatError("need at least two prices to form returns")
     r = prices.prices
     return ReturnSeries(np.abs(r[1:] / r[:-1] - 1.0) * 100.0)
 
@@ -184,26 +185,43 @@ def load_count_table(path: str, mode: str = "hits") -> FrequencySample:
     raises DataFormatError naming its line (the record's ordinal, counting
     the header as line 1).
 
-    An ASCII file is parsed by numpy in one pass and checked with array
-    operations; any other file, and any file that numpy or a check
-    refuses, is read row by row, which finds the offending line.
+    A UTF-8 file is parsed by numpy in one pass and checked with array
+    operations; a file that numpy or a check refuses, or that is not
+    UTF-8, is read row by row, which finds the offending line.
     """
     if mode not in ("hits", "surnames"):
         raise ValueError(f"mode must be 'hits' or 'surnames', got {mode!r}")
     with open(path, "rb") as fh:
         raw = fh.read()
-    sample = _load_ascii_table(path, raw, mode) if raw.isascii() else None
+    sample = _load_table_numpy(path, raw, mode)
     return sample if sample is not None else _load_table_rows(path, mode)
 
 
 _LINE_END = re.compile(rb"[\r\n]")
 _NOT_LINE_END = re.compile(rb"[^\r\n]")
+# Every byte >= 0x80 becomes an "x": no integer field accepts it, and it is
+# none of the bytes that shape a CSV file (comma, quote, CR, LF).
+_ASCII_STAND_INS = bytes(range(128)) + b"x" * 128
 
 
-def _load_ascii_table(path: str, raw: bytes, mode: str) -> FrequencySample | None:
+def _load_table_numpy(path: str, raw: bytes, mode: str) -> FrequencySample | None:
     """The table from one ``np.loadtxt`` pass, or None if numpy or a check
     refuses it.  The header is read here only when it is one unquoted
-    line, and the file must hold a non-blank line after it."""
+    line, and the file must hold a non-blank line after it.
+
+    A non-ASCII file must decode as UTF-8 (the row loop refuses it
+    otherwise); numpy then reads it with each byte >= 0x80 replaced by an
+    ASCII letter.  Labels keep their place, so the table is the same, and
+    a non-ASCII byte in an integer field fails numpy's parse, so the row
+    loop names its line, as for any refused field."""
+    source = path
+    if not raw.isascii():
+        try:
+            raw.decode("utf-8")
+        except UnicodeDecodeError:
+            return None
+        raw = raw.translate(_ASCII_STAND_INS)
+        source = io.BytesIO(raw)
     end = _LINE_END.search(raw)
     if end is None or not _NOT_LINE_END.search(raw, end.end()):
         return None
@@ -212,7 +230,7 @@ def _load_ascii_table(path: str, raw: bytes, mode: str) -> FrequencySample | Non
         return None
     try:
         table = np.loadtxt(
-            path,
+            source,
             delimiter=",",
             quotechar='"',
             comments=None,

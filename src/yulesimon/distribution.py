@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 import numpy as np
 from scipy.special import gammaln
 
-from .special import log_gamma_ratio, log_gamma_ratio_rows
+from .special import _stirling, log_gamma_ratio, log_gamma_ratio_rows
 
 __all__ = [
     "YuleSimonModel",
@@ -30,6 +30,7 @@ __all__ = [
     "mean",
     "sample",
     "log_likelihood",
+    "LikelihoodStack",
 ]
 
 # Largest draw the sampler will emit; reached only on the measure-zero-ish
@@ -195,3 +196,42 @@ def log_likelihood(data: FrequencySample, alpha: float | np.ndarray) -> float | 
     rows = head[:, None] + log_gamma_ratio_rows(data.values, c + 1.0)
     mult = data.multiplicities
     return np.array([np.dot(mult, row) for row in rows])
+
+
+class LikelihoodStack:
+    """The log-likelihoods of several samples, each at its own alpha, from
+    one array pass over all of their entries.
+
+    ``stack(alphas)`` returns ``log_likelihood(samples[j], alphas[j])`` for
+    every j, bit for bit: each entry's term is taken by the scalar call's
+    operations, and each sample's terms are then summed by its own
+    ``np.dot``, as the scalar call sums them.
+    """
+
+    def __init__(self, samples: Sequence[FrequencySample]):
+        sizes = [len(s.values) for s in samples]
+        self.values = np.concatenate([s.values for s in samples])
+        self.owner = np.repeat(np.arange(len(samples)), sizes)
+        self.log_gamma_values = gammaln(self.values)  # the t-only part, fixed
+        # the Stirling branch starts at t = 1e4 or later
+        self.stirling = bool(self.values.max() >= 1e4)
+        ends = np.cumsum(sizes).tolist()
+        self.parts = [
+            (s.multiplicities, slice(end - size, end))
+            for s, size, end in zip(samples, sizes, ends)
+        ]
+
+    def __call__(self, alphas: Sequence[float]) -> list[float]:
+        c_list = [1.0 / (1.0 - alpha) for alpha in alphas]
+        c = np.array(c_list)
+        s = (c + 1.0)[self.owner]
+        out = self.log_gamma_values - gammaln(self.values + s)
+        if self.stirling:
+            switch = np.maximum(1e4, 1000.0 * s)
+            if (self.values >= switch).any():
+                s3 = np.array([(x + 1.0) ** 3 for x in c_list])[self.owner]
+                s4 = np.array([(x + 1.0) ** 4 for x in c_list])[self.owner]
+                out = np.where(self.values < switch, out, _stirling(self.values, s, s3, s4))
+        head = np.array([math.log(x) for x in c_list]) + gammaln(c + 1.0)
+        terms = head[self.owner] + out
+        return [float(np.dot(mult, terms[part])) for mult, part in self.parts]

@@ -32,8 +32,8 @@ from scipy.special import gammaln, polygamma
 from .controls import QuadratureControl, SeriesControl
 from .distribution import _check_alpha
 from .errors import NumericError, SeriesConvergenceError
-from .special import _TAIL_W, _TAIL_X, hyp3f2_unit_excess, integrate_unit_interval
-from .special import log_gamma_ratio
+from .special import _HEAD, _TAIL_W, _TAIL_X, _excess_estimate_array, hyp3f2_unit_excess
+from .special import integrate_unit_interval, log_gamma_ratio
 
 __all__ = [
     "fisher_information",
@@ -41,6 +41,7 @@ __all__ = [
     "fisher_information_oracle",
     "jeffreys_unnormalized",
     "jeffreys_log_unnormalized",
+    "jeffreys_log_unnormalized_array",
     "jeffreys_normalizer",
     "JeffreysPrior",
     "kl_divergence",
@@ -52,6 +53,9 @@ __all__ = [
 NORMALIZER_UPPER_BOUND = math.pi / 3.0 - math.log(2.0 - math.sqrt(3.0))
 
 _DEFAULT_SERIES = SeriesControl()
+# Alphas from which jeffreys_log_unnormalized_array sums the series as one
+# array: the array pass has a fixed cost of about three scalar calls.
+_ARRAY_MIN = 4
 
 
 def _radicand(alpha: float, ctrl: SeriesControl) -> float:
@@ -157,6 +161,37 @@ def jeffreys_log_unnormalized(
     return 0.5 * math.log(_radicand(alpha, ctrl)) - math.log1p(-alpha)
 
 
+def jeffreys_log_unnormalized_array(
+    alphas, ctrl: SeriesControl = _DEFAULT_SERIES
+) -> np.ndarray:
+    """ln q at each alpha of a 1-d array; each value is
+    `jeffreys_log_unnormalized`'s, bit for bit.
+
+    From _ARRAY_MIN alphas up, the 3F2 series is summed for all of them in
+    one array pass (about 6 us per alpha from a few dozen up, against 30 us
+    for a scalar call); fewer take scalar calls, which are then cheaper.
+    An alpha that the first head does not certify, or whose radicand is
+    not positive, goes through the scalar call, which grows the head or
+    raises.
+    """
+    alphas = np.asarray(alphas, dtype=np.float64)
+    if alphas.ndim != 1 or not np.all((alphas > 0.0) & (alphas < 1.0)):
+        raise ValueError("alphas must be a 1-d array of values in the open interval (0, 1)")
+    if len(alphas) < _ARRAY_MIN or ctrl.max_terms < _HEAD:
+        return np.array([jeffreys_log_unnormalized(a, ctrl) for a in alphas.tolist()])
+    c = 1.0 / (1.0 - alphas)
+    excesses, bounds = _excess_estimate_array(c + 1.0, c + 2.0)
+    out = []
+    for alpha, f1, bound in zip(alphas.tolist(), excesses.tolist(), bounds.tolist()):
+        # the radicand as `_radicand` takes it
+        rad = ((3.0 - alpha) * (1.0 - alpha) - f1) / ((2.0 - alpha) * (2.0 - alpha))
+        if bound <= ctrl.rel_tol * (1.0 + f1) and rad > 0.0:
+            out.append(0.5 * math.log(rad) - math.log1p(-alpha))
+        else:
+            out.append(jeffreys_log_unnormalized(alpha, ctrl))
+    return np.array(out)
+
+
 def jeffreys_normalizer(
     quad_ctrl: QuadratureControl = QuadratureControl(),
     series_ctrl: SeriesControl = _DEFAULT_SERIES,
@@ -187,6 +222,9 @@ class JeffreysPrior:
 
     def log_unnormalized(self, alpha: float) -> float:
         return jeffreys_log_unnormalized(alpha, self.series_ctrl)
+
+    def log_unnormalized_array(self, alphas) -> np.ndarray:
+        return jeffreys_log_unnormalized_array(alphas, self.series_ctrl)
 
     def normalizer(self) -> float:
         """Computed once per prior instance and reused."""

@@ -8,6 +8,7 @@ construction.  The series is summed over a 128-term head and closed by
 Euler-Maclaurin with a Gauss-Laguerre tail integral, under a remainder
 bound; for the Jeffreys family the first head always meets the default
 tolerance, so a call costs the same tens of microseconds at every alpha.
+`_excess_estimate_array` takes that first head over arrays of (a, b).
 
 All functions are pure; safe to call concurrently from any number of
 threads.
@@ -19,7 +20,6 @@ import math
 from typing import Callable
 
 import numpy as np
-import scipy.integrate
 import scipy.special
 
 from .controls import QuadratureControl, SeriesControl
@@ -218,6 +218,50 @@ def _excess_estimate(
     return f1, abs(h3_a) / 720.0
 
 
+def _excess_estimate_array(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`_excess_estimate` over the first head at each (a, b) of two 1-d
+    arrays in the series' domain, in one array pass: the same 128-term
+    head, Gauss-Laguerre tail and |h'''(A)|/720 bound.  Returns the
+    excesses and their bounds; certifying them is the caller's part.
+
+    Each value is the scalar call's bit for bit, being taken by its
+    operations in its order: rows of the head summed by numpy's pairwise
+    sum, the three-term and 17-term contractions as stacked matmuls (one
+    small dot per row, as the scalar call's ``@``), and ln G(a), ln G(b)
+    by ``math.lgamma``.  About 6 us per element from a few dozen elements
+    up, against 30 us for a scalar call.
+    """
+    m = _BLOCK_M[:_HEAD]
+    bm = m + b[:, None]
+    bm *= bm
+    ratios = m + a[:, None]
+    ratios *= m + 1.0
+    ratios /= bm
+    head_sum = ratios.cumprod(axis=1).sum(axis=1)
+
+    big_a = _HEAD + 1.0
+    r = 2.0 * b - a - 2.0
+    t = big_a * np.exp(_TAIL_X / r[:, None])
+    shifts = np.empty((len(a), 1, 3))
+    shifts[:, 0, 0], shifts[:, 0, 1], shifts[:, 0, 2] = 1.0, a, b
+    pairs = zip(a.tolist(), b.tolist())
+    log_norm = np.array([2.0 * math.lgamma(y) - math.lgamma(x) for x, y in pairs])
+    log_h = scipy.special.gammaln(t[:, :, None] + shifts) @ _LOG_H_SIGNS
+    log_h += log_norm[:, None]
+    h = np.exp(log_h)
+    tail_int = ((t * h)[:, None, :] @ _TAIL_W)[:, 0] / r
+
+    x = big_a + shifts
+    d1 = (scipy.special.psi(x) @ _LOG_H_SIGNS)[:, 0]
+    d2, z3 = (scipy.special.zeta(_ZETA_ORDERS, x) @ _LOG_H_SIGNS).T
+    d3 = -2.0 * z3
+    h_a = h[:, 0]
+    h1_a = h_a * d1
+    h3_a = h_a * (d1 * d1 * d1 + 3.0 * d1 * d2 + d3)
+    f1 = head_sum + tail_int + 0.5 * h_a - h1_a / 12.0 + h3_a / 720.0
+    return f1, np.abs(h3_a) / 720.0
+
+
 def hyp3f2_unit_excess(a: float, b: float, ctrl: SeriesControl = SeriesControl()) -> float:
     """The series 3F2(1, a, 1; b, b; 1) minus its leading 1.
 
@@ -312,6 +356,10 @@ def integrate_unit_interval(
     Raises QuadratureError with the best estimate and error bound when the
     tolerance cannot be certified.
     """
+    # Imported here: scipy.integrate pulls in scipy.optimize, linalg and
+    # sparse, which no other path of the package needs.
+    import scipy.integrate
+
     delta = 0.1
 
     def right_piece(u: float) -> float:

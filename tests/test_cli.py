@@ -68,6 +68,57 @@ def test_usage_errors_exit_1(argv, capsys):
     assert "usage error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fit", "--data", "hits", "--prior", "jeffreys", "--seed", "0", "--iters", "0"],
+        ["fit", "--data", "hits", "--prior", "loss", "--m", "2", "--seed", "0"],
+        ["fit", "--data", "hits", "--prior", "loss", "--seed", "-1"],
+        ["fit", "--data", "hits", "--prior", "loss", "--seed", "0", "--decimals", "-1"],
+        ["sample", "--alpha", "1.5", "--n", "5", "--seed", "0", "--out", "unused.csv"],
+        ["sample", "--alpha", "0.5", "--n", "0", "--seed", "0", "--out", "unused.csv"],
+        ["prior", "--kind", "loss", "--m", "2", "--out", "unused.csv"],
+        ["simulate", "--prior", "loss", "--m", "2", "--seed", "0", "--out", "unused.csv"],
+        ["simulate", "--prior", "jeffreys", "--reps", "0", "--seed", "0", "--out", "unused.csv"],
+    ],
+    ids=[
+        "iters-0", "fit-m-2", "negative-seed", "negative-decimals", "alpha-1.5",
+        "n-0", "prior-m-2", "simulate-m-2", "reps-0",
+    ],
+)
+def test_refused_argument_values_exit_1(tmp_path, monkeypatch, argv, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(argv) == 1
+    assert "usage error" in capsys.readouterr().err
+    assert not (tmp_path / "unused.csv").exists()
+
+
+def test_undecodable_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "counts.csv"
+    path.write_bytes(b"label,frequency\nA,3\nB\xff,4\n")
+    argv = ["fit", "--data", str(path), "--mode", "surnames", "--prior", "loss"]
+    argv += ["--seed", "0"]
+    assert cli.main(argv) == 2
+    assert "data error" in capsys.readouterr().err
+
+
+def test_single_price_exits_2(tmp_path, capsys):
+    path = tmp_path / "prices.csv"
+    path.write_text("date,adj_close\n2014-10-01,100.0\n", encoding="utf-8")
+    argv = ["fit", "--data", str(path), "--mode", "returns", "--prior", "loss", "--seed", "0"]
+    assert cli.main(argv) == 2
+    assert "data error" in capsys.readouterr().err
+
+
+def test_other_value_errors_propagate(monkeypatch):
+    def broken(*args):
+        raise ValueError("a fault in the program, not in its input")
+
+    monkeypatch.setattr(cli, "sample_posterior_discrete", broken)
+    with pytest.raises(ValueError, match="fault in the program"):
+        cli.main(["fit", "--data", "hits", "--prior", "loss", "--seed", "0"])
+
+
 def test_missing_file_exits_2(tmp_path, capsys):
     argv = ["fit", "--data", str(tmp_path / "absent.csv"), "--prior", "loss", "--seed", "0"]
     assert cli.main(argv) == 2
@@ -176,3 +227,55 @@ def test_transform_returns_bytes(tmp_path):
     returns = ys.to_returns(ys.ingest_prices(str(prices)))
     reference = "z\n" + "".join(f"{z:.17g}\n" for z in returns.values)
     assert written == reference.encode("utf-8")
+
+
+# `ys simulate --prior jeffreys --m 10 --n 30 --reps 1 --iters 600 --burnin 100
+# --seed 20160419`, as written when each replicate ran its own chain.
+JEFFREYS_STUDY_CSV = """\
+alpha,coverage,rel_rmse_mean,rel_rmse_median,failures
+0.10000000000000001,1,0.49846170080832808,0.43897656653074241,0
+0.20000000000000001,1,1.492873779475606,1.580156126178401,0
+0.29999999999999999,1,0.26056544374570001,0.29329315267393846,0
+0.40000000000000002,0,0.6290572388536505,0.67279847582787999,0
+0.5,1,0.11712443135690587,0.074008405662919996,0
+0.59999999999999998,0,0.3935806131421673,0.41061855145472359,0
+0.69999999999999996,1,0.18978541206558336,0.18182378558035586,0
+0.80000000000000004,1,0.14027003883286301,0.15604757478107203,0
+0.90000000000000002,1,0.010596289897821675,0.0057117271149419325,0
+"""
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_jeffreys_study_bytes(tmp_path, workers):
+    argv = [
+        "simulate", "--prior", "jeffreys", "--m", "10", "--n", "30", "--reps", "1",
+        "--iters", "600", "--burnin", "100", "--seed", "20160419", "--workers", workers,
+    ]
+    expected = JEFFREYS_STUDY_CSV.replace("\n", "\r\n")  # csv.writer's row ends
+    assert _run_and_read(tmp_path, argv) == expected.encode("utf-8")
+
+
+def test_fit_does_not_import_scipy_integrate(tmp_path):
+    # scipy.integrate brings scipy.optimize, linalg and sparse with it; only
+    # the Jeffreys normalizer needs it, so a fit must not pay for the import.
+    import os
+    import subprocess
+    import sys
+
+    import yulesimon
+
+    code = (
+        "import sys\n"
+        "import yulesimon.cli\n"
+        "argv = ['fit', '--data', 'hits', '--prior', 'jeffreys', '--seed', '1',\n"
+        "        '--iters', '50', '--burnin', '10', '--out-summary', sys.argv[1]]\n"
+        "assert yulesimon.cli.main(argv) == 0\n"
+        "print('scipy.integrate' in sys.modules)\n"
+    )
+    src = os.path.dirname(os.path.dirname(yulesimon.__file__))
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    out = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path / "summary.json")],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    assert out.stdout.strip() == "False"

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import yulesimon as ys
 from yulesimon import DataFormatError
-from yulesimon.data import _load_ascii_table
+from yulesimon import data
 
 
 def write(tmp_path, name, text):
@@ -201,6 +201,10 @@ def _reference_load_count_table(path, mode):
     return ys.FrequencySample(tuple(sorted(counter.items())))
 
 
+def _row_loop_not_taken(path, mode):
+    raise AssertionError("the table went to the row loop")
+
+
 def _csv_field(text, quoted):
     return '"' + text.replace('"', '""') + '"' if quoted else text
 
@@ -210,14 +214,15 @@ def count_tables(draw):
     """A valid count-table file in either mode, written with the liberties
     the format allows: quoted fields (labels holding commas, quotes and
     newlines), whitespace around integers, extra columns, blank lines, and
-    LF or CRLF line endings."""
+    LF or CRLF line endings.  Labels and extra columns may hold non-ASCII
+    characters, Unicode spaces and line separators among them."""
     mode = draw(st.sampled_from(["hits", "surnames"]))
     n_rows = draw(st.integers(1, 40))
     ints = st.integers(1, 2**62)
     if mode == "hits":
         firsts = [str(k) for k in draw(st.lists(ints, min_size=n_rows, max_size=n_rows, unique=True))]
     else:
-        label = st.text(st.sampled_from('ab ,"\nZü'), min_size=0, max_size=6)
+        label = st.text(st.sampled_from('ab ,"\nZüé€😀\u00a0\u2028'), min_size=0, max_size=6)
         firsts = draw(st.lists(label, min_size=n_rows, max_size=n_rows))
     seconds = draw(st.lists(st.integers(1, 50), min_size=n_rows, max_size=n_rows))
     newline = draw(st.sampled_from(["\n", "\r\n"]))
@@ -229,7 +234,8 @@ def count_tables(draw):
             _csv_field(first, needs_quotes or draw(st.booleans())),
             _csv_field(f"{pad}{second}{trail}", draw(st.booleans())),
         ]
-        fields += draw(st.lists(st.sampled_from(["x", "", "7", '"a,b"']), max_size=2))
+        extra = st.sampled_from(["x", "", "7", '"a,b"', "ñ", '"é,\n"'])
+        fields += draw(st.lists(extra, max_size=2))
         lines.append(",".join(fields))
         lines.extend([""] * draw(st.integers(0, 1)))
     return mode, newline.join(lines) + draw(st.sampled_from(["", newline]))
@@ -249,10 +255,25 @@ class TestCountTableLoader:
         path = tmp_path / "table.csv"
         path.write_bytes(text.encode("utf-8"))
         expected = _reference_load_count_table(str(path), mode)
-        assert ys.load_count_table(str(path), mode=mode) == expected
-        raw = path.read_bytes()
-        if raw.isascii():  # numpy, not the row loop, must have accepted it
-            assert _load_ascii_table(str(path), raw, mode) == expected
+        # numpy, not the row loop, must read every valid table, ASCII or not
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(data, "_load_table_rows", _row_loop_not_taken)
+            assert ys.load_count_table(str(path), mode=mode) == expected
+
+    def test_non_ascii_bytes_in_an_integer_field_name_the_line(self, tmp_path):
+        for field in ("1é", "\u00a012", "7\u2028"):
+            path = write(tmp_path, "t.csv", f"label,frequency\nÅsa,3\nB,{field}\n")
+            with pytest.raises(DataFormatError) as refused:
+                ys.load_count_table(path, mode="surnames")
+            assert str(refused.value) == f"line 3: bad integer {field!r}"
+
+    def test_invalid_utf8_is_refused_as_by_the_reference(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_bytes(b"label,frequency\nA,3\nB\xff,4\n")
+        with pytest.raises(UnicodeDecodeError):
+            _reference_load_count_table(str(path), "surnames")
+        with pytest.raises(UnicodeDecodeError):
+            ys.load_count_table(str(path), mode="surnames")
 
     @pytest.mark.parametrize(
         "mode, text, line",

@@ -83,6 +83,59 @@ class TestFailureAccounting:
             ys.run_coverage_study(small_study(PriorSpec("loss", 10), reps=2), workers=1)
 
 
+class TestJeffreysShards:
+    def test_small_study_forks_no_pool(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool was started")
+
+        monkeypatch.setattr(experiments.concurrent.futures, "ProcessPoolExecutor", no_pool)
+        cfg = small_study(PriorSpec("jeffreys"), reps=experiments._CHAINS_PER_SHARD // 2)
+        rows = ys.run_coverage_study(cfg, workers=8).rows
+        assert [row.failures for row in rows] == [0, 0]
+
+    def test_shards_give_the_one_process_result(self, monkeypatch):
+        # one chain more than a shard holds: two shards on two workers
+        reps = experiments._CHAINS_PER_SHARD // 2 + 1
+        cfg = StudyConfig(
+            alphas=(0.3, 0.7),
+            n=30,
+            replicates=reps,
+            mcmc=McmcConfig(iterations=300, burn_in=50, seed=0),
+            prior_spec=PriorSpec("jeffreys"),
+            master_seed=12,
+        )
+        pools = []
+        executor = experiments.concurrent.futures.ProcessPoolExecutor
+
+        def counted(max_workers):
+            pools.append(max_workers)
+            return executor(max_workers=max_workers)
+
+        monkeypatch.setattr(experiments.concurrent.futures, "ProcessPoolExecutor", counted)
+        assert ys.run_coverage_study(cfg, workers=2) == ys.run_coverage_study(cfg, workers=1)
+        assert pools == [2]
+
+    def test_failing_chains_count_per_alpha(self, monkeypatch):
+        class FailsAbove(ys.JeffreysPrior):
+            def log_unnormalized(self, alpha):
+                if alpha > 0.85:
+                    raise ys.SeriesConvergenceError("forced", estimate=None)
+                return super().log_unnormalized(alpha)
+
+            def log_unnormalized_array(self, alphas):
+                if np.any(alphas > 0.85):
+                    raise ys.SeriesConvergenceError("forced", estimate=None)
+                return super().log_unnormalized_array(alphas)
+
+        monkeypatch.setattr(experiments, "_build_prior", lambda spec: FailsAbove())
+        cfg = small_study(PriorSpec("jeffreys"), alphas=(0.2, 0.95), reps=3, n=500)
+        rows = ys.run_coverage_study(cfg, workers=1).rows
+        assert [row.failures for row in rows] == [0, 3]
+        assert rows[0].coverage == ys.run_coverage_study(
+            small_study(PriorSpec("jeffreys"), alphas=(0.2,), reps=3, n=500), workers=1
+        ).rows[0].coverage
+
+
 class TestCoverageStudy:
     def test_large_n_single_replicate_covers(self):
         # concentration sanity: one n=5000 dataset at alpha=0.5 is pinned

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.special import logsumexp
@@ -5,7 +7,7 @@ from scipy.special import logsumexp
 import yulesimon as ys
 from yulesimon import Chain, FrequencySample, McmcConfig, PosteriorSummary
 
-from conftest import tv_distance
+from conftest import geyer_mcse, tv_distance
 
 # Regression pin: exact grid posterior of the hits data under the
 # loss-based M=20 prior (computed once at the default series tolerance).
@@ -97,6 +99,30 @@ class TestContinuousSampler:
             chain = ys.sample_posterior_continuous(hits, ys.JeffreysPrior(), cfg)
         assert np.all(chain.draws > 0.0) and np.all(chain.draws < 1.0)
 
+    def test_mean_within_mcse_of_quadrature_posterior(self, hits):
+        # The posterior mean from scipy's quad over the package's log-density
+        # plus log-likelihood, against a 25,000/5,000 chain; the chain's error
+        # is measured in Geyer MCSE, not against a hand-set band.
+        import scipy.integrate
+
+        prior = ys.JeffreysPrior()
+
+        def log_post(alpha):
+            return prior.log_unnormalized(alpha) + ys.log_likelihood(hits, alpha)
+
+        peak = log_post(0.07)
+        moments = [
+            scipy.integrate.quad(
+                lambda a, p=p: a**p * math.exp(log_post(a) - peak), 0.0, 1.0,
+                points=(0.01, 0.1, 0.3), epsrel=1e-11, limit=200,
+            )[0]
+            for p in (0, 1)
+        ]
+        exact_mean = moments[1] / moments[0]
+        assert exact_mean == pytest.approx(0.088621982668, abs=1e-9)  # perfbench's oracle
+        chain = ys.sample_posterior_continuous(hits, prior, McmcConfig(25_000, 5_000, seed=7))
+        assert abs(chain.draws.mean() - exact_mean) <= 4.0 * geyer_mcse(chain.draws)
+
     def test_budget_stability_on_hits(self, hits):
         # 10k -> 100k iterations moves the summary by < 0.01
         prior = ys.JeffreysPrior()
@@ -108,6 +134,90 @@ class TestContinuousSampler:
         )
         assert abs(short.mean - long.mean) < 0.01
         assert abs(short.median - long.median) < 0.01
+
+
+def _mixed_batch(size, seed):
+    """``size`` samples at true alphas across (0, 1), n = 30 and 500, with
+    proposal scales 0.5, 2.5 and 40 and budgets of 400 and 600 iterations."""
+    rng = np.random.default_rng(seed)
+    samples, cfgs = [], []
+    for j in range(size):
+        alpha = float(rng.uniform(0.02, 0.98))
+        n = (30, 500)[j % 2]
+        samples.append(FrequencySample.from_observations(ys.sample(alpha, n, seed=seed + j)))
+        scale = (0.5, 2.5, 40.0)[j % 3]
+        iterations = (600, 400)[j % 5 == 4]
+        cfgs.append(McmcConfig(iterations, 100, seed=1_000 * seed + j, proposal_scale=scale))
+    return samples, cfgs
+
+
+class _FailsAbove(ys.JeffreysPrior):
+    """The Jeffreys prior, raising SeriesConvergenceError at alpha > 0.9, as
+    the scalar call and the array call (through its scalar fallback) do."""
+
+    def log_unnormalized(self, alpha):
+        if alpha > 0.9:
+            raise ys.SeriesConvergenceError("forced", estimate=None)
+        return super().log_unnormalized(alpha)
+
+    def log_unnormalized_array(self, alphas):
+        if np.any(alphas > 0.9):
+            raise ys.SeriesConvergenceError("forced", estimate=None)
+        return super().log_unnormalized_array(alphas)
+
+
+@pytest.mark.filterwarnings("ignore::yulesimon.TuningWarning")
+class TestLockstepChains:
+    """Chains advanced together equal their single calls."""
+
+    @pytest.mark.parametrize("size", [1, 9, 60])
+    def test_each_chain_equals_its_single_call(self, size):
+        samples, cfgs = _mixed_batch(size, seed=size)
+        prior = ys.JeffreysPrior()
+        chains = ys.sample_posterior_continuous(samples, prior, cfgs)
+        assert isinstance(chains, list) and len(chains) == size
+        for data, cfg, chain in zip(samples, cfgs, chains):
+            single = ys.sample_posterior_continuous(data, prior, cfg)
+            np.testing.assert_array_equal(chain.draws, single.draws)
+            assert chain.acceptance_rate == single.acceptance_rate
+            assert chain.config == cfg
+
+    def test_hits_chain_in_a_batch(self, hits):
+        cfg = McmcConfig(3_000, 500, seed=7)
+        single = ys.sample_posterior_continuous(hits, ys.JeffreysPrior(), cfg)
+        samples, cfgs = _mixed_batch(8, seed=3)
+        chains = ys.sample_posterior_continuous([hits, *samples], ys.JeffreysPrior(), [cfg, *cfgs])
+        np.testing.assert_array_equal(chains[0].draws, single.draws)
+
+    @pytest.mark.parametrize("size", [3, 5])  # one at a time, and in lockstep
+    def test_failing_chain_leaves_the_batch(self, size):
+        alphas = (0.1, 0.3, 0.86, 0.4, 0.2)[:size]
+        samples = [
+            FrequencySample.from_observations(ys.sample(a, 500, seed=i))
+            for i, a in enumerate(alphas)
+        ]
+        cfgs = [McmcConfig(1_500, 300, seed=40 + i) for i in range(len(alphas))]
+        prior = _FailsAbove()
+        chains = ys.sample_posterior_continuous(samples, prior, cfgs)
+        assert isinstance(chains[2], ys.SeriesConvergenceError)
+        with pytest.raises(ys.SeriesConvergenceError):
+            ys.sample_posterior_continuous(samples[2], prior, cfgs[2])
+        for i in (0, 1, 3, 4)[: size - 1]:
+            single = ys.sample_posterior_continuous(samples[i], prior, cfgs[i])
+            np.testing.assert_array_equal(chains[i].draws, single.draws)
+            assert chains[i].acceptance_rate == single.acceptance_rate
+
+    def test_tuning_warnings_point_at_the_caller(self):
+        samples, _ = _mixed_batch(4, seed=2)
+        cfgs = [McmcConfig(200, 50, seed=j, proposal_scale=1e-3) for j in range(4)]
+        with pytest.warns(ys.TuningWarning) as record:
+            ys.sample_posterior_continuous(samples, ys.JeffreysPrior(), cfgs)
+        assert len(record) == 4
+        assert {w.filename for w in record} == {__file__}
+
+    def test_length_mismatch(self, hits):
+        with pytest.raises(ValueError, match="configs"):
+            ys.sample_posterior_continuous([hits, hits], ys.JeffreysPrior(), [McmcConfig(10, 0, 1)])
 
 
 class TestDiscreteSampler:

@@ -148,6 +148,66 @@ class TestJeffreys:
         )
 
 
+class TestJeffreysArray:
+    def test_bitwise_equal_to_scalar_calls(self):
+        alphas = np.concatenate(
+            [np.linspace(1e-4, 1.0 - 1e-4, 2001), [1e-9, 1e-6, 1.0 - 1e-9, 1.0 - 1e-12]]
+        )
+        array = ys.jeffreys_log_unnormalized_array(alphas)
+        scalar = [ys.jeffreys_log_unnormalized(a) for a in alphas.tolist()]
+        assert array.tolist() == scalar
+        assert JeffreysPrior().log_unnormalized_array(alphas).tolist() == scalar
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 4, 5])
+    def test_short_arrays_match_scalar_calls(self, size):
+        alphas = np.linspace(0.05, 0.95, size)
+        assert ys.jeffreys_log_unnormalized_array(alphas).tolist() == [
+            ys.jeffreys_log_unnormalized(a) for a in alphas.tolist()
+        ]
+
+    def test_uncertified_alphas_take_the_scalar_path(self, monkeypatch):
+        # At rel_tol = 1e-15 the first head certifies some alphas and not
+        # others; those go through the scalar call, which grows the head.
+        ctrl = SeriesControl(rel_tol=1e-15)
+        alphas = np.linspace(0.01, 0.99, 50)
+        calls = []
+        scalar = priors.jeffreys_log_unnormalized
+
+        def spy(alpha, ctrl):
+            calls.append(alpha)
+            return scalar(alpha, ctrl)
+
+        monkeypatch.setattr(priors, "jeffreys_log_unnormalized", spy)
+        values = ys.jeffreys_log_unnormalized_array(alphas, ctrl).tolist()
+        assert 0 < len(calls) < len(alphas)
+        assert values == [scalar(a, ctrl) for a in alphas.tolist()]
+
+    def test_nonpositive_radicand_takes_the_scalar_path(self, monkeypatch):
+        # a radicand that rounds to <= 0 is left to the scalar call, which
+        # raises when it finds one too; here the scalar series is the real one
+        estimate = priors._excess_estimate_array
+
+        def inflate_second(a, b):
+            f1, bound = estimate(a, b)
+            f1[1] = 10.0
+            return f1, bound
+
+        monkeypatch.setattr(priors, "_excess_estimate_array", inflate_second)
+        alphas = np.array([0.2, 0.5, 0.8, 0.9])
+        assert ys.jeffreys_log_unnormalized_array(alphas).tolist() == [
+            ys.jeffreys_log_unnormalized(a) for a in alphas.tolist()
+        ]
+
+    def test_scalar_errors_propagate(self):
+        with pytest.raises(ys.SeriesConvergenceError):
+            ys.jeffreys_log_unnormalized_array(np.full(5, 0.5), SeriesControl(max_terms=64))
+
+    @pytest.mark.parametrize("alphas", [[0.2, 1.0], [0.0, 0.5], [[0.2, 0.3]]])
+    def test_domain_errors(self, alphas):
+        with pytest.raises(ValueError):
+            ys.jeffreys_log_unnormalized_array(np.array(alphas))
+
+
 def _spy_on_kl_heads(monkeypatch):
     """Record the head length of every neighbour-KL kernel call."""
     heads = []

@@ -22,7 +22,8 @@ from yulesimon import (
     trigamma,
 )
 from yulesimon import special
-from yulesimon.special import _HEAD, _excess_estimate, log_gamma_ratio_rows
+from yulesimon.special import _HEAD, _excess_estimate, _excess_estimate_array
+from yulesimon.special import log_gamma_ratio_rows
 
 TIGHT = SeriesControl(rel_tol=1e-12)
 
@@ -274,6 +275,42 @@ def _branchwise_log_gamma_ratio(t, s):
         + (sl**4 / 12.0 - sl**3 / 6.0 + sl * sl / 12.0) / (tl * tl * tl)
     )
     return out
+
+
+def _jeffreys_family(alphas):
+    c = 1.0 / (1.0 - np.asarray(alphas, dtype=np.float64))
+    return c + 1.0, c + 2.0
+
+
+class TestHyp3f2Array:
+    """The array closure against one scalar call per element."""
+
+    def test_dense_alpha_grid_matches_scalar(self):
+        a, b = _jeffreys_family(np.linspace(1e-4, 1.0 - 1e-4, 20_001))
+        array, bounds = _excess_estimate_array(a, b)
+        pairs = zip(a.tolist(), b.tolist())
+        scalar = np.array([hyp3f2_unit_excess(x, y) for x, y in pairs])
+        assert np.max(np.abs(array - scalar) / scalar) <= 4e-16
+        # the array pass repeats the scalar call's operations in their order
+        np.testing.assert_array_equal(array, scalar)
+        first_heads = [_excess_estimate(x, y, _HEAD) for x, y in zip(a.tolist(), b.tolist())]
+        assert bounds.tolist() == [bound for _, bound in first_heads]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.floats(min_value=1e-9, max_value=1.0 - 1e-12), min_size=1, max_size=40))
+    def test_elements_match_scalar_calls(self, alphas):
+        a, b = _jeffreys_family(alphas)
+        array, _ = _excess_estimate_array(a, b)
+        for x, y, value in zip(a.tolist(), b.tolist(), array.tolist()):
+            scalar = hyp3f2_unit_excess(x, y)
+            assert abs(value - scalar) <= 4e-16 * scalar
+            assert value == scalar
+
+    def test_value_does_not_depend_on_the_other_elements(self):
+        a, b = _jeffreys_family(np.random.default_rng(4).uniform(1e-3, 0.999, 60))
+        whole, _ = _excess_estimate_array(a, b)
+        for i in (0, 17, 59):
+            assert _excess_estimate_array(a[i : i + 1], b[i : i + 1])[0][0] == whole[i]
 
 
 class TestLogGammaRatio:
