@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 import numpy as np
 from scipy.special import gammaln
 
-from .special import _stirling, log_gamma_ratio, log_gamma_ratio_rows
+from .special import log_gamma_ratio, log_gamma_ratio_pairs, log_gamma_ratio_rows
 
 __all__ = [
     "YuleSimonModel",
@@ -212,9 +212,6 @@ class LikelihoodStack:
         sizes = [len(s.values) for s in samples]
         self.values = np.concatenate([s.values for s in samples])
         self.owner = np.repeat(np.arange(len(samples)), sizes)
-        self.log_gamma_values = gammaln(self.values)  # the t-only part, fixed
-        # the Stirling branch starts at t = 1e4 or later
-        self.stirling = bool(self.values.max() >= 1e4)
         ends = np.cumsum(sizes).tolist()
         self.parts = [
             (s.multiplicities, slice(end - size, end))
@@ -224,14 +221,6 @@ class LikelihoodStack:
     def __call__(self, alphas: Sequence[float]) -> list[float]:
         c_list = [1.0 / (1.0 - alpha) for alpha in alphas]
         c = np.array(c_list)
-        s = (c + 1.0)[self.owner]
-        out = self.log_gamma_values - gammaln(self.values + s)
-        if self.stirling:
-            switch = np.maximum(1e4, 1000.0 * s)
-            if (self.values >= switch).any():
-                s3 = np.array([(x + 1.0) ** 3 for x in c_list])[self.owner]
-                s4 = np.array([(x + 1.0) ** 4 for x in c_list])[self.owner]
-                out = np.where(self.values < switch, out, _stirling(self.values, s, s3, s4))
         head = np.array([math.log(x) for x in c_list]) + gammaln(c + 1.0)
-        terms = head[self.owner] + out
+        terms = head[self.owner] + log_gamma_ratio_pairs(self.values, (c + 1.0)[self.owner])
         return [float(np.dot(mult, terms[part])) for mult, part in self.parts]

@@ -131,14 +131,20 @@ class StudyResult:
 
 
 # Jeffreys chains per shard: a study of K replicates runs in
-# min(workers, ceil(K / 24)) shards.  A lockstep iteration costs about
-# 120 us plus 10 us per chain, and every shard pays the 120 us, so a second
-# process pays off only once each shard holds well over a dozen chains.
-# On a 2-CPU machine, 600-iteration studies at n = 30 took as long in two
-# shards as in one at 18 chains, and 16% and 23% less at 27 and 36 chains;
-# at 2,000 iterations two shards saved 19% at 18 chains and 32% at 27.
-# Starting a pool costs about 12 ms.
-_CHAINS_PER_SHARD = 24
+# min(workers, ceil(K / 10)) shards.  Timed in one process at n = 30 on a
+# 2-CPU machine, a lockstep iteration costs about 43 us plus 4.2 us per
+# chain, and a scalar chain 22 us per iteration.  The per-replicate pool
+# that shards replace (chunksize 4) ran four scalar chains back to back per
+# task, 88 us per iteration, so shards of at most 10 chains (85 us) keep a
+# study of 4 or more replicates no slower per iteration than that pool on
+# any number of cores; 24-chain shards (144 us) would not.  With fewer
+# workers than ceil(K / 10), each shard holds K / workers chains at a
+# fraction of their scalar cost.  A second shard pays for its pool (about
+# 12 ms to start, fork and collect) from 10 chains at 600 iterations:
+# halving a 10-chain shard saves 21 us per iteration.  The comparison
+# across cores rests on this model: on that machine two busy processes
+# each ran at half speed, so parallel runs could not be timed.
+_CHAINS_PER_SHARD = 10
 # Chains per lockstep batch: a batch holds 24 bytes per chain-iteration
 # (steps, uniforms and the state trace), so 256 chains of 10,000
 # iterations take 61 MB; past about 60 chains the cost per chain-iteration

@@ -186,13 +186,6 @@ def sample_posterior_continuous(
     return Chain(kept, rate, cfg)
 
 
-# Chains from which a batch runs in lockstep: a lockstep iteration costs
-# about 120 us before any chain's share, as much as three iterations of a
-# single chain, so on a 2-CPU machine three chains took 1.2 times as long
-# in lockstep as one after another, and four took 0.9 times as long.
-_LOCKSTEP_MIN = 4
-
-
 def _lockstep_chains(
     samples: Sequence[FrequencySample],
     prior: JeffreysPrior,
@@ -209,20 +202,11 @@ def _lockstep_chains(
     single call's chain, draw for draw.  A proposal whose prior the array
     pass cannot give is evaluated by the scalar call; a chain whose call
     raises ``NumericError`` leaves the batch with that exception as its
-    result, and the others go on unchanged.  Fewer than _LOCKSTEP_MIN
-    chains run one after another on the scalar path.
+    result, and the others go on unchanged.
     """
     samples, cfgs = list(samples), list(cfgs)
     if len(samples) != len(cfgs):
         raise ValueError(f"got {len(samples)} samples but {len(cfgs)} configs")
-    if len(samples) < _LOCKSTEP_MIN:
-        chains: list[Chain | NumericError] = []
-        for data, cfg in zip(samples, cfgs):
-            try:
-                chains.append(sample_posterior_continuous(data, prior, cfg))
-            except NumericError as exc:
-                chains.append(exc)
-        return chains
     k = len(samples)
     iterations = [cfg.iterations for cfg in cfgs]
     n_iter = max(iterations)

@@ -53,9 +53,6 @@ __all__ = [
 NORMALIZER_UPPER_BOUND = math.pi / 3.0 - math.log(2.0 - math.sqrt(3.0))
 
 _DEFAULT_SERIES = SeriesControl()
-# Alphas from which jeffreys_log_unnormalized_array sums the series as one
-# array: the array pass has a fixed cost of about three scalar calls.
-_ARRAY_MIN = 4
 
 
 def _radicand(alpha: float, ctrl: SeriesControl) -> float:
@@ -167,17 +164,17 @@ def jeffreys_log_unnormalized_array(
     """ln q at each alpha of a 1-d array; each value is
     `jeffreys_log_unnormalized`'s, bit for bit.
 
-    From _ARRAY_MIN alphas up, the 3F2 series is summed for all of them in
-    one array pass (about 6 us per alpha from a few dozen up, against 30 us
-    for a scalar call); fewer take scalar calls, which are then cheaper.
+    The 3F2 series is summed for all of them in one array pass (about
+    6 us per alpha from a few dozen up, against 30 us for a scalar call).
     An alpha that the first head does not certify, or whose radicand is
     not positive, goes through the scalar call, which grows the head or
-    raises.
+    raises; so does every alpha when ``ctrl.max_terms`` is below the first
+    head.
     """
     alphas = np.asarray(alphas, dtype=np.float64)
     if alphas.ndim != 1 or not np.all((alphas > 0.0) & (alphas < 1.0)):
         raise ValueError("alphas must be a 1-d array of values in the open interval (0, 1)")
-    if len(alphas) < _ARRAY_MIN or ctrl.max_terms < _HEAD:
+    if ctrl.max_terms < _HEAD:
         return np.array([jeffreys_log_unnormalized(a, ctrl) for a in alphas.tolist()])
     c = 1.0 / (1.0 - alphas)
     excesses, bounds = _excess_estimate_array(c + 1.0, c + 2.0)

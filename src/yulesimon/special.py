@@ -30,6 +30,7 @@ __all__ = [
     "log_beta",
     "log_gamma_ratio",
     "log_gamma_ratio_rows",
+    "log_gamma_ratio_pairs",
     "digamma",
     "trigamma",
     "hyp3f2_unit",
@@ -113,6 +114,26 @@ def log_gamma_ratio_rows(t, s) -> np.ndarray:
         s3 = np.array([x**3 for x in s_list])[:, None]
         s4 = np.array([x**4 for x in s_list])[:, None]
         out = np.where(t < switch, out, _stirling(t, s, s3, s4))
+    return out
+
+
+def log_gamma_ratio_pairs(t, s) -> np.ndarray:
+    """ln Gamma(t_j) - ln Gamma(t_j + s_j) for 1-d t and s of one length.
+
+    Element j is bit for bit ``log_gamma_ratio(t[j], s[j])``, from one
+    array pass; as in `log_gamma_ratio_rows`, the powers of s are taken
+    with Python's ``**``, here only for the elements past the switch.
+    """
+    t = np.asarray(t, dtype=np.float64)
+    s = np.asarray(s, dtype=np.float64)
+    out = scipy.special.gammaln(t) - scipy.special.gammaln(t + s)
+    if t.size and t.max() >= 1e4:  # no switch point lies below 1e4
+        far = t >= np.maximum(1e4, 1000.0 * s)
+        s_far = s[far]
+        s_list = s_far.tolist()
+        s3 = np.array([x**3 for x in s_list])
+        s4 = np.array([x**4 for x in s_list])
+        out[far] = _stirling(t[far], s_far, s3, s4)
     return out
 
 

@@ -22,21 +22,3 @@ def loss_prior_20():
 
 def tv_distance(p: np.ndarray, q: np.ndarray) -> float:
     return 0.5 * float(np.abs(np.asarray(p) - np.asarray(q)).sum())
-
-
-def geyer_mcse(draws) -> float:
-    """Monte Carlo standard error of the mean of a chain, with its variance
-    from Geyer's initial positive sequence (Geyer 1992, Stat. Sci. 7:473):
-    autocovariances with divisor n, summed in adjacent pairs up to the
-    first pair that is not positive."""
-    x = np.asarray(draws, dtype=np.float64)
-    n = len(x)
-    centered = x - x.mean()
-    size = 1 << (2 * n - 1).bit_length()
-    spectrum = np.fft.rfft(centered, size)
-    gamma = np.fft.irfft(spectrum * np.conj(spectrum), size)[:n] / n
-    pairs = gamma[: 2 * (n // 2)].reshape(-1, 2).sum(axis=1)
-    nonpositive = np.flatnonzero(pairs <= 0.0)
-    stop = int(nonpositive[0]) if len(nonpositive) else len(pairs)
-    sigma2 = -gamma[0] + 2.0 * pairs[:stop].sum()
-    return float(np.sqrt(sigma2 / n))

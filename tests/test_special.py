@@ -23,7 +23,7 @@ from yulesimon import (
 )
 from yulesimon import special
 from yulesimon.special import _HEAD, _excess_estimate, _excess_estimate_array
-from yulesimon.special import log_gamma_ratio_rows
+from yulesimon.special import log_gamma_ratio_pairs, log_gamma_ratio_rows
 
 TIGHT = SeriesControl(rel_tol=1e-12)
 
@@ -344,6 +344,18 @@ class TestLogGammaRatioRows:
         assert rows.shape == (50, 60)
         for row, s_i in zip(rows, s.tolist()):
             np.testing.assert_array_equal(row, log_gamma_ratio(t, s_i))
+
+
+class TestLogGammaRatioPairs:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_pairs_bitwise_equal_scalar_calls(self, seed):
+        rng = np.random.default_rng(seed)
+        t = np.exp(rng.uniform(0.0, 30.0, 200))  # both branches
+        s = rng.uniform(1.0, 3000.0, 200)
+        pairs = log_gamma_ratio_pairs(t, s)
+        assert pairs.tolist() == [
+            log_gamma_ratio(t_j, s_j) for t_j, s_j in zip(t.tolist(), s.tolist())
+        ]
 
 
 class TestIntegrateUnitInterval:
