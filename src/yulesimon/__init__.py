@@ -69,16 +69,7 @@ from .priors import (
     kl_divergence,
     loss_based_prior,
 )
-from .special import (
-    digamma,
-    hyp3f2_unit,
-    hyp3f2_unit_excess,
-    integrate_unit_interval,
-    log_beta,
-    log_gamma,
-    log_gamma_ratio,
-    trigamma,
-)
+from .special import hyp3f2_unit_excess, integrate_unit_interval, log_gamma_ratio
 
 __version__ = "0.1.0"
 
@@ -144,12 +135,7 @@ __all__ = [
     "jeffreys_unnormalized",
     "kl_divergence",
     "loss_based_prior",
-    "digamma",
-    "trigamma",
-    "log_beta",
-    "log_gamma",
     "log_gamma_ratio",
-    "hyp3f2_unit",
     "hyp3f2_unit_excess",
     "integrate_unit_interval",
 ]

@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 import numpy as np
 from scipy.special import gammaln
 
-from .special import log_gamma_ratio, log_gamma_ratio_pairs, log_gamma_ratio_rows
+from .special import log_gamma_ratio
 
 __all__ = [
     "YuleSimonModel",
@@ -193,7 +193,7 @@ def log_likelihood(data: FrequencySample, alpha: float | np.ndarray) -> float | 
     c = 1.0 / (1.0 - alphas)
     # math.log per point, as the scalar call takes it: np.log can round differently
     head = np.array([math.log(x) for x in c.tolist()]) + gammaln(c + 1.0)
-    rows = head[:, None] + log_gamma_ratio_rows(data.values, c + 1.0)
+    rows = head[:, None] + log_gamma_ratio(data.values, (c + 1.0)[:, None])
     mult = data.multiplicities
     return np.array([np.dot(mult, row) for row in rows])
 
@@ -222,5 +222,5 @@ class LikelihoodStack:
         c_list = [1.0 / (1.0 - alpha) for alpha in alphas]
         c = np.array(c_list)
         head = np.array([math.log(x) for x in c_list]) + gammaln(c + 1.0)
-        terms = head[self.owner] + log_gamma_ratio_pairs(self.values, (c + 1.0)[self.owner])
+        terms = head[self.owner] + log_gamma_ratio(self.values, (c + 1.0)[self.owner])
         return [float(np.dot(mult, terms[part])) for mult, part in self.parts]

@@ -2,13 +2,13 @@
 and relative root-MSE over a grid of true alpha values, plus single-dataset
 case studies.
 
-Jeffreys replicates run in batches: their chains advance in lockstep, one
-array prior call and one stacked likelihood call per iteration for the
-whole batch (`sample_posterior_continuous` given sequences).  The K
-replicates of a study are dealt to min(workers, ceil(K / _CHAINS_PER_SHARD))
-shards; one shard runs in this process, more run one per pool process.
-Grid-prior replicates, whose chains cost microseconds per iteration, run one
-pool task each.
+The K replicates of a study, whatever its prior, are dealt to
+min(workers, ceil(K / _CHAINS_PER_SHARD)) shards; one shard runs in this
+process, more run one per pool process.  In a shard, grid-prior replicates
+run one after another, and Jeffreys replicates run in batches whose chains
+advance in lockstep, one array prior call and one stacked likelihood call
+per iteration for the whole batch (`sample_posterior_continuous` given
+sequences).
 
 Reproducibility contract: every (alpha index, replicate index) pair derives
 its data and chain seeds from the master seed through a SeedSequence spawn
@@ -130,7 +130,7 @@ class StudyResult:
                 )
 
 
-# Jeffreys chains per shard: a study of K replicates runs in
+# Replicates per shard: a study of K replicates runs in
 # min(workers, ceil(K / 10)) shards.  Timed in one process at n = 30 on a
 # 2-CPU machine, a lockstep iteration costs about 43 us plus 4.2 us per
 # chain, and a scalar chain 22 us per iteration.  The per-replicate pool
@@ -143,7 +143,10 @@ class StudyResult:
 # 12 ms to start, fork and collect) from 10 chains at 600 iterations:
 # halving a 10-chain shard saves 21 us per iteration.  The comparison
 # across cores rests on this model: on that machine two busy processes
-# each ran at half speed, so parallel runs could not be timed.
+# each ran at half speed, so parallel runs could not be timed.  Grid-prior
+# replicates take the same shards: a 10,000-iteration task (M = 10, n = 30)
+# costs about 2.5 ms, 0.56 ms at 600 iterations, so a 10-task shard takes
+# 6-25 ms, about what a second shard's pool costs to start.
 _CHAINS_PER_SHARD = 10
 # Chains per lockstep batch: a batch holds 24 bytes per chain-iteration
 # (steps, uniforms and the state trace), so 256 chains of 10,000
@@ -191,9 +194,12 @@ def _run_task(args) -> tuple[int, int, PosteriorSummary | None]:
 
 
 def _run_shard(tasks) -> list[tuple[int, int, PosteriorSummary | None]]:
-    """Jeffreys replicates (tasks as for `_run_task`, all with one prior),
-    their chains run in lockstep batches of at most _MAX_BATCH; a chain
-    that raised ``NumericError`` gives None."""
+    """Replicates (tasks as for `_run_task`, all with one prior): grid-prior
+    ones one after another, Jeffreys ones with their chains in lockstep
+    batches of at most _MAX_BATCH.  A fit that raised ``NumericError``
+    gives None."""
+    if isinstance(tasks[0][-1], GridPrior):
+        return [_run_task(task) for task in tasks]
     out = []
     for b0 in range(0, len(tasks), _MAX_BATCH):
         batch = tasks[b0 : b0 + _MAX_BATCH]
@@ -227,12 +233,12 @@ def run_coverage_study(cfg: StudyConfig, workers: int | None = None) -> StudyRes
     any other exception propagates.
 
     ``workers`` (default: machine parallelism) is an upper bound on the
-    processes used, not a count.  K Jeffreys replicates run as lockstep
-    chain batches in min(workers, ceil(K / _CHAINS_PER_SHARD)) shards, so
-    a study of fewer than _CHAINS_PER_SHARD + 1 replicates runs in this
-    process and forks nothing; grid-prior replicates run one pool task each
-    on up to ``workers`` processes.  The output does not depend on the
-    worker count (see the module docstring).
+    processes used, not a count, for either prior.  K replicates run in
+    min(workers, ceil(K / _CHAINS_PER_SHARD)) shards, so a study of fewer
+    than _CHAINS_PER_SHARD + 1 replicates runs in this process and forks
+    nothing.  A shard runs grid-prior replicates one after another and
+    Jeffreys replicates as lockstep chain batches.  The output does not
+    depend on the worker count (see the module docstring).
     """
     prior = _build_prior(cfg.prior_spec)
     tasks = [
@@ -242,30 +248,18 @@ def run_coverage_study(cfg: StudyConfig, workers: int | None = None) -> StudyRes
     ]
     if workers is None:
         workers = os.cpu_count() or 1
-    results: dict[tuple[int, int], PosteriorSummary | None] = {}
-    if isinstance(prior, JeffreysPrior):
-        shards = max(1, min(workers, -(-len(tasks) // _CHAINS_PER_SHARD)))
-        parts = [tasks[s::shards] for s in range(shards)]
-        if shards == 1:
-            done = map(_run_shard, parts)
-        else:
-            # The default start method, as for the grid-prior pool below.
-            # Where that is fork (Linux), the only other threads are
-            # OpenBLAS's, which its fork handler stops; spawned workers
-            # would re-import numpy and scipy, 0.6-1.2 s per study here.
-            with concurrent.futures.ProcessPoolExecutor(max_workers=shards) as pool:
-                done = list(pool.map(_run_shard, parts))
-        for part in done:
-            for ia, ir, summary in part:
-                results[(ia, ir)] = summary
-    elif workers <= 1 or len(tasks) == 1:
-        for task in tasks:
-            ia, ir, summary = _run_task(task)
-            results[(ia, ir)] = summary
+    shards = max(1, min(workers, -(-len(tasks) // _CHAINS_PER_SHARD)))
+    parts = [tasks[s::shards] for s in range(shards)]
+    if shards == 1:
+        done = map(_run_shard, parts)
     else:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            for ia, ir, summary in pool.map(_run_task, tasks, chunksize=4):
-                results[(ia, ir)] = summary
+        # The default start method.  Where that is fork (Linux), the only
+        # other threads are OpenBLAS's, which its fork handler stops;
+        # spawned workers would re-import numpy and scipy, 0.6-1.2 s per
+        # study here.
+        with concurrent.futures.ProcessPoolExecutor(max_workers=shards) as pool:
+            done = list(pool.map(_run_shard, parts))
+    results = {(ia, ir): summary for part in done for ia, ir, summary in part}
 
     rows = []
     for ia, alpha in enumerate(cfg.alphas):

@@ -55,11 +55,15 @@ NORMALIZER_UPPER_BOUND = math.pi / 3.0 - math.log(2.0 - math.sqrt(3.0))
 _DEFAULT_SERIES = SeriesControl()
 
 
-def _radicand(alpha: float, ctrl: SeriesControl) -> float:
+def _radicand_of(alpha: float, f1: float) -> float:
     """(3-alpha)(1-alpha) - F1, all over (2-alpha)^2; equals 1 - F/(2-alpha)^2."""
+    return ((3.0 - alpha) * (1.0 - alpha) - f1) / ((2.0 - alpha) * (2.0 - alpha))
+
+
+def _radicand(alpha: float, ctrl: SeriesControl) -> float:
+    """The radicand at alpha, its F1 summed to ctrl's tolerance."""
     c = 1.0 / (1.0 - alpha)
-    f1 = hyp3f2_unit_excess(c + 1.0, c + 2.0, ctrl)
-    rad = ((3.0 - alpha) * (1.0 - alpha) - f1) / ((2.0 - alpha) * (2.0 - alpha))
+    rad = _radicand_of(alpha, hyp3f2_unit_excess(c + 1.0, c + 2.0, ctrl))
     if rad <= 0.0:
         # Provably positive on (0, 1); a nonpositive value means rounding at
         # the series tolerance, reported rather than clamped.
@@ -180,8 +184,7 @@ def jeffreys_log_unnormalized_array(
     excesses, bounds = _excess_estimate_array(c + 1.0, c + 2.0)
     out = []
     for alpha, f1, bound in zip(alphas.tolist(), excesses.tolist(), bounds.tolist()):
-        # the radicand as `_radicand` takes it
-        rad = ((3.0 - alpha) * (1.0 - alpha) - f1) / ((2.0 - alpha) * (2.0 - alpha))
+        rad = _radicand_of(alpha, f1)
         if bound <= ctrl.rel_tol * (1.0 + f1) and rad > 0.0:
             out.append(0.5 * math.log(rad) - math.log1p(-alpha))
         else:

@@ -1,14 +1,18 @@
 """Numerically robust special functions used throughout the package.
 
-log-gamma, log-beta and the polygammas are thin validated wrappers over
-scipy.special (accuracy documented per function).  The generalized
-hypergeometric series at unit argument and the unit-interval quadrature are
-implemented here because their error control is load-bearing for the prior
-construction.  The series is summed over a 128-term head and closed by
-Euler-Maclaurin with a Gauss-Laguerre tail integral, under a remainder
-bound; for the Jeffreys family the first head always meets the default
-tolerance, so a call costs the same tens of microseconds at every alpha.
-`_excess_estimate_array` takes that first head over arrays of (a, b).
+`log_gamma_ratio` takes ln Gamma(t) - ln Gamma(t+s) over broadcast arrays
+of t and s, with one Stirling switch per element.  It raises s to the third
+and fourth powers by products, which round alike in scalar and in array
+arithmetic (Python's ``**`` calls C ``pow``, and numpy's vector ``**`` may
+round otherwise), so every element equals the call at that element alone.
+The generalized hypergeometric series at unit argument and the
+unit-interval quadrature are implemented here because their error control
+is load-bearing for the prior construction.  The series is summed over a
+128-term head and closed by Euler-Maclaurin with a Gauss-Laguerre tail
+integral, under a remainder bound; for the Jeffreys family the first head
+always meets the default tolerance, so a call costs the same tens of
+microseconds at every alpha.  `_excess_estimate_array` takes that first
+head over arrays of (a, b).
 
 All functions are pure; safe to call concurrently from any number of
 threads.
@@ -26,14 +30,7 @@ from .controls import QuadratureControl, SeriesControl
 from .errors import QuadratureError, SeriesConvergenceError
 
 __all__ = [
-    "log_gamma",
-    "log_beta",
     "log_gamma_ratio",
-    "log_gamma_ratio_rows",
-    "log_gamma_ratio_pairs",
-    "digamma",
-    "trigamma",
-    "hyp3f2_unit",
     "hyp3f2_unit_excess",
     "integrate_unit_interval",
 ]
@@ -44,28 +41,6 @@ def _require_positive(name: str, x: float) -> float:
     if not x > 0.0 or math.isinf(x) or math.isnan(x):
         raise ValueError(f"{name} must be a positive finite real, got {x}")
     return x
-
-
-def log_gamma(x: float) -> float:
-    """ln Gamma(x) for x > 0.
-
-    Relative error below 1e-13 on [1e-6, 1e12] (scipy's gammaln; checked
-    against extended-precision oracles in the test suite).
-    """
-    return float(scipy.special.gammaln(_require_positive("x", x)))
-
-
-def log_beta(a: float, b: float) -> float:
-    """ln B(a, b) = ln Gamma(a) + ln Gamma(b) - ln Gamma(a+b) for a, b > 0.
-
-    Evaluated in log space, so it stays finite for arguments up to
-    surname-scale counts (b ~ 1e7).
-    """
-    a = _require_positive("a", a)
-    b = _require_positive("b", b)
-    return float(
-        scipy.special.gammaln(a) + scipy.special.gammaln(b) - scipy.special.gammaln(a + b)
-    )
 
 
 def log_gamma_ratio(t, s):
@@ -79,82 +54,37 @@ def log_gamma_ratio(t, s):
 
     is used instead (absolute error O(s^5/t^4), below 1e-11 at the switch
     point and falling fast).  Arguments broadcast like numpy ufuncs; scalar
-    and 0-d inputs return a float.
+    and 0-d inputs return a float.  Each element is, bit for bit, the call
+    at that element's t and s alone.
     """
     t = np.asarray(t, dtype=np.float64)
     s = np.asarray(s, dtype=np.float64)
+    out = scipy.special.gammaln(t) - scipy.special.gammaln(t + s)
+    t_max = t.max(initial=-np.inf)
     if s.ndim == 0:
         s = float(s)  # the s-only terms below then cost Python arithmetic
         switch = lowest_switch = max(1e4, 1000.0 * s)
-    else:
+    elif t_max >= 1e4:  # no switch lies below 1e4: most calls stop here
         switch = np.maximum(1e4, 1000.0 * s)
         lowest_switch = switch.min(initial=np.inf)
-    out = scipy.special.gammaln(t) - scipy.special.gammaln(t + s)
-    if t.size and t.max() >= lowest_switch:
+    else:
+        return out
+    if t_max >= lowest_switch:
         # Both branches over the whole array, then one pick per element:
         # cheaper than gathering and scattering the two subsets.
-        out = np.where(t < switch, out, _stirling(t, s, s**3, s**4))
+        out = np.where(t < switch, out, _stirling(t, s))
     return float(out) if out.ndim == 0 else out
 
 
-def log_gamma_ratio_rows(t, s) -> np.ndarray:
-    """ln Gamma(t_j) - ln Gamma(t_j + s_i) for 1-d t and s, shape (len(s), len(t)).
-
-    Row i is bit for bit ``log_gamma_ratio(t, s[i])``, from one array pass.
-    The scalar call raises s to the third and fourth powers with Python's
-    ``**`` (C ``pow``), and numpy's vector ``**`` may round those
-    differently, so the powers are taken here per s_i in Python too.
-    """
-    t = np.asarray(t, dtype=np.float64)
-    s = np.asarray(s, dtype=np.float64)[:, None]
-    switch = np.maximum(1e4, 1000.0 * s)
-    out = scipy.special.gammaln(t) - scipy.special.gammaln(t + s)
-    if t.size and s.size and t.max() >= switch.min():
-        s_list = s.ravel().tolist()
-        s3 = np.array([x**3 for x in s_list])[:, None]
-        s4 = np.array([x**4 for x in s_list])[:, None]
-        out = np.where(t < switch, out, _stirling(t, s, s3, s4))
-    return out
-
-
-def log_gamma_ratio_pairs(t, s) -> np.ndarray:
-    """ln Gamma(t_j) - ln Gamma(t_j + s_j) for 1-d t and s of one length.
-
-    Element j is bit for bit ``log_gamma_ratio(t[j], s[j])``, from one
-    array pass; as in `log_gamma_ratio_rows`, the powers of s are taken
-    with Python's ``**``, here only for the elements past the switch.
-    """
-    t = np.asarray(t, dtype=np.float64)
-    s = np.asarray(s, dtype=np.float64)
-    out = scipy.special.gammaln(t) - scipy.special.gammaln(t + s)
-    if t.size and t.max() >= 1e4:  # no switch point lies below 1e4
-        far = t >= np.maximum(1e4, 1000.0 * s)
-        s_far = s[far]
-        s_list = s_far.tolist()
-        s3 = np.array([x**3 for x in s_list])
-        s4 = np.array([x**4 for x in s_list])
-        out[far] = _stirling(t[far], s_far, s3, s4)
-    return out
-
-
-def _stirling(t, s, s3, s4):
-    """The Stirling branch of log_gamma_ratio, given s**3 and s**4.  The
-    sign is folded into the terms, which leaves every rounding unchanged."""
+def _stirling(t, s):
+    """The Stirling branch of log_gamma_ratio.  The sign is folded into the
+    terms, which leaves every rounding unchanged."""
     tt = t * t
+    s2 = s * s
+    s3 = s2 * s
     return (
-        ((-s) * np.log(t) - s * (s - 1.0) / (2.0 * t))
-        - (s * s / 4.0 - s3 / 6.0 - s / 12.0) / tt
-    ) - (s4 / 12.0 - s3 / 6.0 + s * s / 12.0) / (tt * t)
-
-
-def digamma(x: float) -> float:
-    """psi(x), the logarithmic derivative of Gamma, for x > 0."""
-    return float(scipy.special.digamma(_require_positive("x", x)))
-
-
-def trigamma(x: float) -> float:
-    """psi'(x) = sum_{k>=0} 1/(x+k)^2 for x > 0."""
-    return float(scipy.special.polygamma(1, _require_positive("x", x)))
+        ((-s) * np.log(t) - s * (s - 1.0) / (2.0 * t)) - (s2 / 4.0 - s3 / 6.0 - s / 12.0) / tt
+    ) - (s3 * s / 12.0 - s3 / 6.0 + s2 / 12.0) / (tt * t)
 
 
 # Length of the first 3F2 head.  At this length the remainder estimate is
@@ -353,15 +283,6 @@ def hyp3f2_unit_excess(a: float, b: float, ctrl: SeriesControl = SeriesControl()
         head = grown
         f1, bound = _excess_estimate(a, b, head, head_sum)
     return f1
-
-
-def hyp3f2_unit(a: float, b: float, ctrl: SeriesControl = SeriesControl()) -> float:
-    """3F2(1, a, 1; b, b; 1) = sum_l  l! (a)_l / (b)_l^2  for b > a.
-
-    Always >= 1: all terms are positive and the l = 0 term is 1.  See
-    :func:`hyp3f2_unit_excess` for the summation and error control.
-    """
-    return 1.0 + hyp3f2_unit_excess(a, b, ctrl)
 
 
 def integrate_unit_interval(

@@ -84,26 +84,22 @@ class TestFailureAccounting:
 
 
 class TestJeffreysShards:
+    # both prior kinds are dealt to shards
+    SPECS = (PriorSpec("jeffreys"), PriorSpec("loss", 10))
+
     def test_small_study_forks_no_pool(self, monkeypatch):
         def no_pool(*args, **kwargs):
             raise AssertionError("a pool was started")
 
         monkeypatch.setattr(experiments.concurrent.futures, "ProcessPoolExecutor", no_pool)
-        cfg = small_study(PriorSpec("jeffreys"), reps=experiments._CHAINS_PER_SHARD // 2)
-        rows = ys.run_coverage_study(cfg, workers=8).rows
-        assert [row.failures for row in rows] == [0, 0]
+        for spec in self.SPECS:
+            cfg = small_study(spec, reps=experiments._CHAINS_PER_SHARD // 2)
+            rows = ys.run_coverage_study(cfg, workers=8).rows
+            assert [row.failures for row in rows] == [0, 0]
 
     def test_shards_give_the_one_process_result(self, monkeypatch):
-        # one chain more than a shard holds: two shards on two workers
+        # one replicate more than a shard holds: two shards on two workers
         reps = experiments._CHAINS_PER_SHARD // 2 + 1
-        cfg = StudyConfig(
-            alphas=(0.3, 0.7),
-            n=30,
-            replicates=reps,
-            mcmc=McmcConfig(iterations=300, burn_in=50, seed=0),
-            prior_spec=PriorSpec("jeffreys"),
-            master_seed=12,
-        )
         pools = []
         executor = experiments.concurrent.futures.ProcessPoolExecutor
 
@@ -112,8 +108,19 @@ class TestJeffreysShards:
             return executor(max_workers=max_workers)
 
         monkeypatch.setattr(experiments.concurrent.futures, "ProcessPoolExecutor", counted)
-        assert ys.run_coverage_study(cfg, workers=2) == ys.run_coverage_study(cfg, workers=1)
-        assert pools == [2]
+        for spec in self.SPECS:
+            cfg = StudyConfig(
+                alphas=(0.3, 0.7),
+                n=30,
+                replicates=reps,
+                mcmc=McmcConfig(iterations=300, burn_in=50, seed=0),
+                prior_spec=spec,
+                master_seed=12,
+            )
+            assert ys.run_coverage_study(cfg, workers=2) == ys.run_coverage_study(
+                cfg, workers=1
+            )
+        assert pools == [2, 2]
 
     def test_failing_chains_count_per_alpha(self, monkeypatch):
         class FailsAbove(ys.JeffreysPrior):

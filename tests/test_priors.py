@@ -59,7 +59,7 @@ class TestFisherInformation:
         for alpha in (0.3, 0.7):
             oracle = ys.fisher_information_oracle(alpha, k_max=1_000_000)
             c = 1.0 / (1.0 - alpha)
-            series = ys.hyp3f2_unit(c + 1.0, c + 2.0, TIGHT)
+            series = 1.0 + ys.hyp3f2_unit_excess(c + 1.0, c + 2.0, TIGHT)
             expected = (1.0 - alpha) ** 2 / (2.0 - alpha) ** 2 * series
             assert abs(oracle.second_expectation - expected) / expected < 1e-6
 
