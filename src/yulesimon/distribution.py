@@ -45,6 +45,13 @@ def _check_alpha(alpha: float) -> float:
     return alpha
 
 
+def _inside_unit_interval(alphas: np.ndarray) -> bool:
+    """Whether every element lies strictly inside (0, 1) (NaN does not).
+    By min and max, not a mask: two reductions cost less than four ufunc
+    calls on the few alphas of a chain's prefetched run."""
+    return not alphas.size or (alphas.min() > 0.0 and alphas.max() < 1.0)
+
+
 def _check_k(k: int) -> int:
     if k != int(k) or k < 1:
         raise ValueError(f"k must be an integer >= 1, got {k}")
@@ -188,14 +195,17 @@ def log_likelihood(data: FrequencySample, alpha: float | np.ndarray) -> float | 
     alphas = alpha.astype(np.float64, copy=False)
     if alphas.ndim != 1:
         raise ValueError(f"alpha must be a float or a 1-d array, got shape {alphas.shape}")
-    if not np.all((alphas > 0.0) & (alphas < 1.0)):
+    if not _inside_unit_interval(alphas):
         raise ValueError("alpha must lie in the open interval (0, 1) at every point")
     c = 1.0 / (1.0 - alphas)
+    c1 = c + 1.0
     # math.log per point, as the scalar call takes it: np.log can round differently
-    head = np.array([math.log(x) for x in c.tolist()]) + gammaln(c + 1.0)
-    rows = head[:, None] + log_gamma_ratio(data.values, (c + 1.0)[:, None])
-    mult = data.multiplicities
-    return np.array([np.dot(mult, row) for row in rows])
+    head = np.array([math.log(x) for x in c.tolist()]) + gammaln(c1)
+    rows = log_gamma_ratio(data.values, c1[:, None])
+    rows += head[:, None]
+    # a stacked row-by-vector product takes one dot per row, as the scalar
+    # call's np.dot does; a plain matrix-vector product may sum otherwise
+    return (rows[:, None, :] @ data.multiplicities)[:, 0]
 
 
 class LikelihoodStack:

@@ -132,15 +132,17 @@ class StudyResult:
 
 # Replicates per shard: a study of K replicates runs in
 # min(workers, ceil(K / 10)) shards.  Timed in one process at n = 30 on a
-# 2-CPU machine, a lockstep iteration costs about 43 us plus 4.2 us per
-# chain, and a scalar chain 22 us per iteration.  The per-replicate pool
-# that shards replace (chunksize 4) ran four scalar chains back to back per
-# task, 88 us per iteration, so shards of at most 10 chains (85 us) keep a
-# study of 4 or more replicates no slower per iteration than that pool on
-# any number of cores; 24-chain shards (144 us) would not.  With fewer
+# 2-CPU machine, a lockstep iteration costs about 41 us plus 4.3 us per
+# chain, and a single chain 21 us per iteration (its acceptance, 0.7-0.8 at
+# n = 30, predicts runs too short for its prefetched array calls, so it
+# steps one proposal at a time).  The per-replicate pool that shards
+# replace (chunksize 4) ran four single chains back to back per task,
+# 84 us per iteration, so shards of at most 10 chains (84 us) keep a study
+# of 4 or more replicates no slower per iteration than that pool on any
+# number of cores; 24-chain shards (144 us) would not.  With fewer
 # workers than ceil(K / 10), each shard holds K / workers chains at a
-# fraction of their scalar cost.  A second shard pays for its pool (about
-# 12 ms to start, fork and collect) from 10 chains at 600 iterations:
+# fraction of their single-chain cost.  A second shard pays for its pool
+# (about 12 ms to start, fork and collect) from 10 chains at 600 iterations:
 # halving a 10-chain shard saves 21 us per iteration.  The comparison
 # across cores rests on this model: on that machine two busy processes
 # each ran at half speed, so parallel runs could not be timed.  Grid-prior

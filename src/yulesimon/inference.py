@@ -12,14 +12,26 @@ Two samplers:
 serves as the oracle the discrete chain is tested against.
 
 Chains are deterministic given their seed (all randomness is pre-generated
-from one PCG64 stream).  A chain is a single sequential computation;
-multiple chains may run concurrently with independent seeds.
+from one PCG64 stream).  A chain's draws are those of the
+Metropolis-Hastings recursion taken one proposal at a time, whichever of
+the two forms below computes them; multiple chains may run concurrently
+with independent seeds.
+
+Prefetched steps: a single continuous chain predicts its next decisions
+from its running acceptance rate, evaluates each predicted run of
+proposals with one array Jeffreys call (`jeffreys_log_unnormalized_array`)
+and one array likelihood call, and replays the decisions up to the first
+mispredicted one (`_prefetched_chain`).  Far from acceptance 1/2 the runs
+are long: at the default step an iteration costs about 14 us on a
+5,000-draw sample at alpha = 0.8 (acceptance 0.10) and 16 us on the hits
+data (0.85), against 21 us one proposal at a time.  Between acceptance 1/4
+and 3/4 the runs are too short to pay for an array call, and the chain
+takes scalar steps at that cost.
 
 Lockstep form: `sample_posterior_continuous` given equal-length sequences
 of samples and configs advances all of their chains together.  Each
 iteration evaluates every live chain's proposal with one array Jeffreys
-call (`jeffreys_log_unnormalized_array`) and one stacked likelihood call
-(`LikelihoodStack`), at a quarter to a fifth of a single chain's cost
+call and one stacked likelihood call (`LikelihoodStack`), at about 5 us
 per chain-iteration from a few dozen chains up.  Equality contract: each
 chain keeps its own PCG64 stream, start point and boundary rules, and both
 array calls return the scalar calls' values bit for bit, so every chain
@@ -30,6 +42,7 @@ call with its sample and config returns.  A chain whose prior raises
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -146,44 +159,123 @@ def sample_posterior_continuous(
     """
     if not isinstance(data, FrequencySample):
         return _lockstep_chains(data, prior, cfg)
-    rng = np.random.Generator(np.random.PCG64(cfg.seed))
-    steps = cfg.proposal_scale * rng.standard_normal(cfg.iterations)
-    with np.errstate(divide="ignore"):
-        log_u = np.log(rng.random(cfg.iterations))
+    return _prefetched_chain(data, prior, cfg)
 
-    def log_target(x: float) -> float:
-        # Proposals whose alpha is not strictly inside (0, 1) in floating
-        # point have zero target density: math.exp overflows past |x| ~ 709.8,
-        # and alpha rounds to exactly 1.0 once x exceeds about 36.7.
-        if abs(x) > 700.0:
-            return -math.inf
-        alpha = 1.0 / (1.0 + math.exp(-x))
-        complement = 1.0 / (1.0 + math.exp(x))  # 1 - alpha without rounding loss
-        if alpha >= 1.0:
-            return -math.inf
-        return (
-            log_likelihood(data, alpha)
-            + prior.log_unnormalized(alpha)
-            + math.log(alpha)
-            + math.log(complement)
-        )
+
+def _unit_point(x: float) -> tuple[float, float] | None:
+    """alpha = 1/(1 + e^-x) and 1 - alpha at logit x; None where alpha is not
+    strictly inside (0, 1) in floating point, where the target density is
+    zero: math.exp overflows past |x| ~ 709.8, and alpha rounds to exactly
+    1.0 once x exceeds about 36.7."""
+    if abs(x) > 700.0:
+        return None
+    alpha = 1.0 / (1.0 + math.exp(-x))
+    if alpha >= 1.0:
+        return None
+    return alpha, 1.0 / (1.0 + math.exp(x))  # 1 - alpha without rounding loss
+
+
+def _log_target(data: FrequencySample, prior: JeffreysPrior, x: float) -> float:
+    """ln q(alpha) + ln L(data | alpha) + ln alpha + ln(1 - alpha) at logit x,
+    -inf where alpha is not strictly inside (0, 1)."""
+    point = _unit_point(x)
+    if point is None:
+        return -math.inf
+    alpha, complement = point
+    return (
+        log_likelihood(data, alpha)
+        + prior.log_unnormalized(alpha)
+        + math.log(alpha)
+        + math.log(complement)
+    )
+
+
+def _log_targets(data: FrequencySample, prior: JeffreysPrior, xs: list[float]) -> list[float]:
+    """`_log_target` at each of ``xs``, bit for bit, from one array prior
+    call and one array likelihood call, the rest summed in its order."""
+    lps = [-math.inf] * len(xs)
+    inside = [(i, p) for i, p in enumerate(map(_unit_point, xs)) if p is not None]
+    if inside:
+        alphas = np.array([alpha for _, (alpha, _) in inside])
+        log_q = prior.log_unnormalized_array(alphas).tolist()
+        log_l = log_likelihood(data, alphas).tolist()
+        for (i, (alpha, complement)), q, ll in zip(inside, log_q, log_l):
+            lps[i] = ll + q + math.log(alpha) + math.log(complement)
+    return lps
+
+
+# Longest run of proposals that one pair of array calls evaluates ahead,
+# and the shortest: a predicted run of three (acceptance 1/4 to 1/3 or 2/3
+# to 3/4) costs no less per iteration in array calls than in scalar steps.
+_MAX_RUN = 32
+_MIN_RUN = 4
+
+
+def _prefetched_chain(data: FrequencySample, prior: JeffreysPrior, cfg: McmcConfig) -> Chain:
+    """One chain, its proposals evaluated ahead in predicted runs.
+
+    The next decision is predicted to be the more frequent one so far
+    (accept from a running acceptance rate of 1/2 up), and a run of
+    L = 1/(1 - p) proposals, p the predicted decision's rate, at most
+    ``_MAX_RUN`` and the iterations left, is built along the predicted
+    path: each from the same state on a reject path, the running sums of
+    the steps on an accept path.  One array prior call and one array
+    likelihood call give their log-targets (`_log_targets`), each
+    `_log_target`'s value bit for bit.  The decisions are then replayed up
+    to and including the first mispredicted one, whose proposal was built
+    from the true state, so the chain equals the chain taken one proposal
+    at a time, draw for draw (pre-fetching: Brockwell 2006, J. Comput.
+    Graph. Stat. 15:246).
+
+    A run shorter than ``_MIN_RUN`` is one scalar step instead.  A run
+    whose array calls raise ``NumericError``, maybe at an alpha the chain
+    never visits, is taken again one scalar step at a time, so the chain
+    raises where, and only where, the chain taken one proposal at a time
+    does.
+    """
+    n_iter = cfg.iterations
+    rng = np.random.Generator(np.random.PCG64(cfg.seed))
+    steps = (cfg.proposal_scale * rng.standard_normal(n_iter)).tolist()
+    with np.errstate(divide="ignore"):
+        log_u = np.log(rng.random(n_iter)).tolist()
 
     alpha0 = _initial_alpha(data)
     x = math.log(alpha0 / (1.0 - alpha0))
-    lp = log_target(x)
-    kept = np.empty(cfg.iterations - cfg.burn_in, dtype=np.float64)
+    lp = _log_target(data, prior, x)
+    draw = 1.0 / (1.0 + math.exp(-x))
+    trace = []  # the state's alpha after each iteration
     accepted = 0
-    for i in range(cfg.iterations):
-        proposal = x + steps[i]
-        lp_prop = log_target(proposal)
-        if lp_prop - lp > log_u[i]:
-            x = proposal
-            lp = lp_prop
-            accepted += 1
-        if i >= cfg.burn_in:
-            kept[i - cfg.burn_in] = 1.0 / (1.0 + math.exp(-x))
-    rate = _check_mixing(accepted, cfg.iterations)
-    return Chain(kept, rate, cfg)
+    i = 0
+    scalar_until = 0  # iterations before this one take scalar steps
+    while i < n_iter:
+        rate = accepted / i if i else 0.5
+        predicted = rate >= 0.5  # the predicted decision: accept or reject
+        miss = 1.0 - rate if predicted else rate
+        run = min(_MAX_RUN, n_iter - i, int(1.0 / miss) if miss > 0.0 else _MAX_RUN)
+        if run < _MIN_RUN or i < scalar_until:
+            proposals = [x + steps[i]]
+            lps = [_log_target(data, prior, proposals[0])]
+        else:
+            if predicted:
+                proposals = list(itertools.accumulate(steps[i : i + run], initial=x))[1:]
+            else:
+                proposals = [x + step for step in steps[i : i + run]]
+            try:
+                lps = _log_targets(data, prior, proposals)
+            except NumericError:
+                scalar_until = i + run
+                continue
+        for proposal, lp_prop, lu in zip(proposals, lps, log_u[i : i + run]):
+            took = lp_prop - lp > lu
+            if took:
+                x, lp, draw = proposal, lp_prop, 1.0 / (1.0 + math.exp(-proposal))
+                accepted += 1
+            trace.append(draw)
+            i += 1
+            if took != predicted:
+                break
+    rate = _check_mixing(accepted, n_iter, stacklevel=4)
+    return Chain(np.array(trace[cfg.burn_in :]), rate, cfg)
 
 
 def _lockstep_chains(
@@ -244,15 +336,12 @@ def _lockstep_chains(
         lps: list[float | None] = [-math.inf] * len(xs)
         alphas = [math.nan] * len(xs)
         inside, inside_chains, complements = [], [], []
-        for i, (j, x) in enumerate(zip(chains, xs)):
-            if abs(x) > 700.0:
-                continue
-            alpha = 1.0 / (1.0 + math.exp(-x))
-            if alpha < 1.0:
-                alphas[i] = alpha
+        for i, (j, point) in enumerate(zip(chains, map(_unit_point, xs))):
+            if point is not None:
+                alphas[i], complement = point
                 inside.append(i)
                 inside_chains.append(j)
-                complements.append(1.0 / (1.0 + math.exp(x)))
+                complements.append(complement)
         if not inside:
             return lps, alphas
         inside_alphas = [alphas[i] for i in inside]

@@ -30,7 +30,7 @@ import numpy as np
 from scipy.special import gammaln, polygamma
 
 from .controls import QuadratureControl, SeriesControl
-from .distribution import _check_alpha
+from .distribution import _check_alpha, _inside_unit_interval
 from .errors import NumericError, SeriesConvergenceError
 from .special import _HEAD, _TAIL_W, _TAIL_X, _excess_estimate_array, hyp3f2_unit_excess
 from .special import integrate_unit_interval, log_gamma_ratio
@@ -168,22 +168,22 @@ def jeffreys_log_unnormalized_array(
     """ln q at each alpha of a 1-d array; each value is
     `jeffreys_log_unnormalized`'s, bit for bit.
 
-    The 3F2 series is summed for all of them in one array pass (about
-    6 us per alpha from a few dozen up, against 30 us for a scalar call).
+    The 3F2 series is summed for all of them in one array pass: about
+    22 us per call plus 3 us per alpha, where a scalar call takes 15 us.
     An alpha that the first head does not certify, or whose radicand is
     not positive, goes through the scalar call, which grows the head or
     raises; so does every alpha when ``ctrl.max_terms`` is below the first
     head.
     """
     alphas = np.asarray(alphas, dtype=np.float64)
-    if alphas.ndim != 1 or not np.all((alphas > 0.0) & (alphas < 1.0)):
+    if alphas.ndim != 1 or not _inside_unit_interval(alphas):
         raise ValueError("alphas must be a 1-d array of values in the open interval (0, 1)")
     if ctrl.max_terms < _HEAD:
         return np.array([jeffreys_log_unnormalized(a, ctrl) for a in alphas.tolist()])
     c = 1.0 / (1.0 - alphas)
     excesses, bounds = _excess_estimate_array(c + 1.0, c + 2.0)
     out = []
-    for alpha, f1, bound in zip(alphas.tolist(), excesses.tolist(), bounds.tolist()):
+    for alpha, f1, bound in zip(alphas.tolist(), excesses, bounds):
         rad = _radicand_of(alpha, f1)
         if bound <= ctrl.rel_tol * (1.0 + f1) and rad > 0.0:
             out.append(0.5 * math.log(rad) - math.log1p(-alpha))

@@ -279,3 +279,45 @@ def test_fit_does_not_import_scipy_integrate(tmp_path):
         capture_output=True, text=True, env=env, check=True,
     )
     assert out.stdout.strip() == "False"
+
+
+def _sha256(path):
+    import hashlib
+
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+# sha256 of the chain CSV and the summary JSON of `ys fit --prior jeffreys`,
+# as written when the chain evaluated one proposal at a time: on the hits
+# data (acceptance 0.85), and on a hits-mode table of ys.sample(0.8, 5000,
+# seed=3) (acceptance 0.10).
+JEFFREYS_FIT_SHA256 = {
+    "hits": (
+        "789013a72ef3542ac84bb3dda4e4bb4afb119989b04875e17aab31f8d6fbc9b7",
+        "6a1c5221749292e9e59de710980206514dd9084d6ef67a28694deac36a3178ad",
+    ),
+    "light-tail": (
+        "d521fd0e7eb462e08e231002cf1bf60d59350297a4f9d810c6f134fb615cd657",
+        "d6aac4303fe954121f9fff3882faac655c3dd079c047d09948fa07bd7df5f1ca",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", ["hits", "light-tail"])
+def test_jeffreys_fit_bytes(tmp_path, case):
+    import numpy as np
+
+    import yulesimon as ys
+
+    if case == "hits":
+        argv = ["--data", "hits", "--iters", "3000", "--burnin", "500"]
+    else:
+        values, counts = np.unique(ys.sample(0.8, 5_000, 3), return_counts=True)
+        table = tmp_path / "light_tail.csv"
+        rows = "".join(f"{k},{c}\n" for k, c in zip(values.tolist(), counts.tolist()))
+        table.write_text("k,count\n" + rows, encoding="utf-8")
+        argv = ["--data", str(table), "--mode", "hits", "--iters", "4000", "--burnin", "1000"]
+    chain, summary = tmp_path / "chain.csv", tmp_path / "summary.json"
+    argv = ["fit", *argv, "--prior", "jeffreys", "--seed", "7"]
+    assert cli.main(argv + ["--out-chain", str(chain), "--out-summary", str(summary)]) == 0
+    assert (_sha256(chain), _sha256(summary)) == JEFFREYS_FIT_SHA256[case]

@@ -8,6 +8,7 @@ from scipy.special import logsumexp
 
 import yulesimon as ys
 from yulesimon import Chain, FrequencySample, McmcConfig, PosteriorSummary
+from yulesimon.inference import _log_target, _log_targets
 
 from conftest import tv_distance
 
@@ -91,6 +92,7 @@ class TestContinuousSampler:
         b = ys.sample_posterior_continuous(hits, prior, cfg)
         assert np.array_equal(a.draws, b.draws)
         assert a.acceptance_rate == b.acceptance_rate
+        _assert_equals_reference(a, hits, prior, cfg)
 
     def test_single_observation_support_and_mixing(self):
         data = FrequencySample(((1, 1),))
@@ -102,10 +104,11 @@ class TestContinuousSampler:
     def test_proposals_past_float_range_are_rejected(self, hits):
         # Logit steps of ~1e4 overflow math.exp or round alpha to 1.0; the
         # chain rejects them instead of raising.
-        cfg = McmcConfig(iterations=50, burn_in=0, seed=2, proposal_scale=1e4)
+        cfg = McmcConfig(iterations=300, burn_in=0, seed=2, proposal_scale=1e4)
         with pytest.warns(ys.TuningWarning):
             chain = ys.sample_posterior_continuous(hits, ys.JeffreysPrior(), cfg)
         assert np.all(chain.draws > 0.0) and np.all(chain.draws < 1.0)
+        _assert_equals_reference(chain, hits, ys.JeffreysPrior(), cfg)
 
     def test_mean_within_mcse_of_quadrature_posterior(self, hits):
         # The posterior mean from scipy's quad over the package's log-density
@@ -160,18 +163,144 @@ def _mixed_batch(size, seed):
 
 
 class _FailsAbove(ys.JeffreysPrior):
-    """The Jeffreys prior, raising SeriesConvergenceError at alpha > 0.9, as
-    the scalar call and the array call (through its scalar fallback) do."""
+    """The Jeffreys prior, raising SeriesConvergenceError at alpha > limit,
+    as the scalar call and the array call (through its scalar fallback) do;
+    with ``array_fails`` the array call raises whatever its alphas.  Every
+    alpha asked for is recorded in ``asked``."""
+
+    def __init__(self, limit=0.9, array_fails=False):
+        super().__init__()
+        self.limit, self.array_fails, self.asked = limit, array_fails, []
 
     def log_unnormalized(self, alpha):
-        if alpha > 0.9:
-            raise ys.SeriesConvergenceError("forced", estimate=None)
+        self.asked.append(alpha)
+        if alpha > self.limit:
+            raise ys.SeriesConvergenceError(f"forced at {alpha!r}", estimate=None)
         return super().log_unnormalized(alpha)
 
     def log_unnormalized_array(self, alphas):
-        if np.any(alphas > 0.9):
+        self.asked.extend(alphas.tolist())
+        if self.array_fails or np.any(alphas > self.limit):
             raise ys.SeriesConvergenceError("forced", estimate=None)
         return super().log_unnormalized_array(alphas)
+
+
+def _reference_chain(data, prior, cfg):
+    """The continuous chain one proposal at a time, each through the scalar
+    prior and likelihood calls: its draws, its acceptance rate and every
+    alpha at which it evaluated the target, in order."""
+    rng = np.random.Generator(np.random.PCG64(cfg.seed))
+    steps = cfg.proposal_scale * rng.standard_normal(cfg.iterations)
+    with np.errstate(divide="ignore"):
+        log_u = np.log(rng.random(cfg.iterations))
+    evaluated = []
+
+    def log_target(x):
+        if abs(x) > 700.0:
+            return -math.inf
+        alpha = 1.0 / (1.0 + math.exp(-x))
+        complement = 1.0 / (1.0 + math.exp(x))
+        if alpha >= 1.0:
+            return -math.inf
+        evaluated.append(alpha)
+        return (
+            ys.log_likelihood(data, alpha)
+            + prior.log_unnormalized(alpha)
+            + math.log(alpha)
+            + math.log(complement)
+        )
+
+    alpha0 = min(max(1.0 / data.sample_mean, 0.05), 0.95)
+    x = math.log(alpha0 / (1.0 - alpha0))
+    lp = log_target(x)
+    kept = np.empty(cfg.iterations - cfg.burn_in)
+    accepted = 0
+    for i in range(cfg.iterations):
+        proposal = x + steps[i]
+        lp_prop = log_target(proposal)
+        if lp_prop - lp > log_u[i]:
+            x, lp = proposal, lp_prop
+            accepted += 1
+        if i >= cfg.burn_in:
+            kept[i - cfg.burn_in] = 1.0 / (1.0 + math.exp(-x))
+    return kept, accepted / cfg.iterations, evaluated
+
+
+def _assert_equals_reference(chain, data, prior, cfg):
+    draws, rate, _ = _reference_chain(data, prior, cfg)
+    np.testing.assert_array_equal(chain.draws, draws)
+    assert chain.acceptance_rate == rate
+    assert chain.config == cfg
+
+
+@pytest.mark.filterwarnings("ignore::yulesimon.TuningWarning")
+class TestPrefetchedChain:
+    """A single chain, its proposals evaluated ahead in runs, equals the
+    chain taken one proposal at a time."""
+
+    @pytest.mark.parametrize("n", [30, 500, 5_000])
+    @pytest.mark.parametrize("scale", [0.05, 0.5, 2.5, 40.0])
+    def test_equals_the_reference_chain(self, n, scale):
+        prior = ys.JeffreysPrior()
+        for j, alpha in enumerate((0.03, 0.35, 0.65, 0.97)):
+            data = FrequencySample.from_observations(ys.sample(alpha, n, seed=n + j))
+            cfg = McmcConfig(700, 100, seed=10 * j + 1, proposal_scale=scale)
+            chain = ys.sample_posterior_continuous(data, prior, cfg)
+            _assert_equals_reference(chain, data, prior, cfg)
+
+    def test_log_targets_equal_scalar_log_targets(self, hits):
+        # Steps across the float range: alpha near 0 and 1, rounding to 1
+        # past x = 36.7, and exp overflowing past 709.8.
+        xs = np.random.default_rng(1).normal(0.0, 15.0, 400).tolist()
+        xs += [-701.0, -40.0, 36.0, 37.0, 701.0]
+        light = FrequencySample.from_observations(ys.sample(0.8, 5_000, seed=3))
+        prior = ys.JeffreysPrior()
+        for data in (hits, light):
+            scalar = [_log_target(data, prior, x) for x in xs]
+            for run in range(0, len(xs), 9):
+                assert _log_targets(data, prior, xs[run : run + 9]) == scalar[run : run + 9]
+
+    def test_tuning_warning_points_at_the_caller(self, hits):
+        cfg = McmcConfig(200, 50, seed=1, proposal_scale=1e-3)
+        with pytest.warns(ys.TuningWarning) as record:
+            ys.sample_posterior_continuous(hits, ys.JeffreysPrior(), cfg)
+        assert len(record) == 1
+        assert record[0].filename == __file__
+
+    @staticmethod
+    def _low_acceptance_case():
+        data = FrequencySample.from_observations(ys.sample(0.8, 5_000, seed=3))
+        return data, McmcConfig(1_500, 300, seed=10, proposal_scale=0.5)
+
+    def test_failure_at_a_prefetched_alpha_only(self):
+        # The prefetched runs evaluate proposals past each mispredicted
+        # decision, which the one-at-a-time chain never asks for; a prior
+        # failing only there must not fail the chain.
+        data, cfg = self._low_acceptance_case()
+        spy = _FailsAbove(limit=1.0)
+        ys.sample_posterior_continuous(data, spy, cfg)
+        _, _, evaluated = _reference_chain(data, ys.JeffreysPrior(), cfg)
+        assert max(spy.asked) > max(evaluated)
+        prior = _FailsAbove(limit=max(evaluated))
+        chain = ys.sample_posterior_continuous(data, prior, cfg)
+        _assert_equals_reference(chain, data, prior, cfg)
+
+    def test_failure_on_the_chain_path_raises_where_the_reference_does(self):
+        data, cfg = self._low_acceptance_case()
+        _, _, evaluated = _reference_chain(data, ys.JeffreysPrior(), cfg)
+        limit = float(np.quantile(evaluated, 0.999))
+        with pytest.raises(ys.SeriesConvergenceError) as reference:
+            _reference_chain(data, _FailsAbove(limit), cfg)
+        with pytest.raises(ys.SeriesConvergenceError) as single:
+            ys.sample_posterior_continuous(data, _FailsAbove(limit), cfg)
+        assert str(single.value) == str(reference.value)
+
+    @pytest.mark.parametrize("scale", [0.5, 2.5])
+    def test_array_call_always_failing(self, hits, scale):
+        cfg = McmcConfig(800, 100, seed=9, proposal_scale=scale)
+        prior = _FailsAbove(limit=1.0, array_fails=True)
+        chain = ys.sample_posterior_continuous(hits, prior, cfg)
+        _assert_equals_reference(chain, hits, ys.JeffreysPrior(), cfg)
 
 
 @pytest.mark.filterwarnings("ignore::yulesimon.TuningWarning")
@@ -187,8 +316,7 @@ class TestLockstepChains:
         for data, cfg, chain in zip(samples, cfgs, chains):
             single = ys.sample_posterior_continuous(data, prior, cfg)
             np.testing.assert_array_equal(chain.draws, single.draws)
-            assert chain.acceptance_rate == single.acceptance_rate
-            assert chain.config == cfg
+            _assert_equals_reference(chain, data, prior, cfg)
 
     def test_hits_chain_in_a_batch(self, hits):
         cfg = McmcConfig(3_000, 500, seed=7)
@@ -196,6 +324,7 @@ class TestLockstepChains:
         samples, cfgs = _mixed_batch(8, seed=3)
         chains = ys.sample_posterior_continuous([hits, *samples], ys.JeffreysPrior(), [cfg, *cfgs])
         np.testing.assert_array_equal(chains[0].draws, single.draws)
+        _assert_equals_reference(chains[0], hits, ys.JeffreysPrior(), cfg)
 
     @pytest.mark.parametrize("size", [3, 5])  # the failing chain last, and in the middle
     def test_failing_chain_leaves_the_batch(self, size):
@@ -214,6 +343,7 @@ class TestLockstepChains:
             single = ys.sample_posterior_continuous(samples[i], prior, cfgs[i])
             np.testing.assert_array_equal(chains[i].draws, single.draws)
             assert chains[i].acceptance_rate == single.acceptance_rate
+            _assert_equals_reference(chains[i], samples[i], prior, cfgs[i])
 
     @pytest.mark.parametrize("size", [1, 4])
     def test_tuning_warnings_point_at_the_caller(self, size):

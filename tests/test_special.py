@@ -289,14 +289,14 @@ class TestHyp3f2Array:
         # the array pass repeats the scalar call's operations in their order
         np.testing.assert_array_equal(array, scalar)
         first_heads = [_excess_estimate(x, y, _HEAD) for x, y in zip(a.tolist(), b.tolist())]
-        assert bounds.tolist() == [bound for _, bound in first_heads]
+        assert bounds == [bound for _, bound in first_heads]
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.floats(min_value=1e-9, max_value=1.0 - 1e-12), min_size=1, max_size=40))
     def test_elements_match_scalar_calls(self, alphas):
         a, b = _jeffreys_family(alphas)
         array, _ = _excess_estimate_array(a, b)
-        for x, y, value in zip(a.tolist(), b.tolist(), array.tolist()):
+        for x, y, value in zip(a.tolist(), b.tolist(), array):
             scalar = hyp3f2_unit_excess(x, y)
             assert abs(value - scalar) <= 4e-16 * scalar
             assert value == scalar
@@ -340,6 +340,19 @@ class TestLogGammaRatio:
         for row, s_i in zip(rows, s.tolist()):
             np.testing.assert_array_equal(row, log_gamma_ratio(t, s_i))
             assert row.tolist() == [log_gamma_ratio(t_j, s_i) for t_j in t.tolist()]
+
+    def test_grid_with_one_value_past_the_switch(self):
+        # The M = 1,000 grid likelihood's shape: s a column over the grid, t
+        # a sample's values with one past 1e4, where the Stirling branch
+        # holds for some s and not for others.
+        t = np.concatenate([np.arange(1.0, 232.0), [15_493.0]])
+        s = (1.0 / (1.0 - np.arange(1, 1000) / 1000) + 1.0)[:, None]
+        grid = log_gamma_ratio(t, s)
+        assert grid.shape == (999, 232)
+        np.testing.assert_array_equal(grid, _branchwise_log_gamma_ratio(t, s))
+        for row, s_i in zip(grid, s[:, 0].tolist()):
+            np.testing.assert_array_equal(row, log_gamma_ratio(t, s_i))
+        assert grid[:, -1].tolist() == [log_gamma_ratio(15_493.0, s_i) for s_i in s[:, 0].tolist()]
 
     @pytest.mark.parametrize("seed", range(3))
     def test_pairs_bitwise_equal_scalar_calls(self, seed):
