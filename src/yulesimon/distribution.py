@@ -209,26 +209,38 @@ def log_likelihood(data: FrequencySample, alpha: float | np.ndarray) -> float | 
 
 
 class LikelihoodStack:
-    """The log-likelihoods of several samples, each at its own alpha, from
-    one array pass over all of their entries.
+    """Log-likelihoods of (sample, alpha) pairs over several samples.
 
-    ``stack(alphas)`` returns ``log_likelihood(samples[j], alphas[j])`` for
-    every j, bit for bit: each entry's term is taken by the scalar call's
-    operations, and each sample's terms are then summed by its own
-    ``np.dot``, as the scalar call sums them.
+    ``stack(owners, alphas)`` returns ``log_likelihood(samples[j], alpha)``
+    for each pair of ``zip(owners, alphas)``, bit for bit; an owner may be
+    asked any number of times.  A single pair takes the scalar call, and a
+    stack of one sample `log_likelihood`'s array call.  Otherwise one array
+    pass takes each entry's term by the scalar call's operations, and each
+    pair's terms are summed by its own ``np.dot``, as the scalar call sums
+    them; asked for every sample once, in order, the pass reads the stacked
+    entries as they are, and otherwise those of a stack of the samples asked.
     """
 
     def __init__(self, samples: Sequence[FrequencySample]):
-        sizes = [len(s.values) for s in samples]
-        self.values = np.concatenate([s.values for s in samples])
-        self.owner = np.repeat(np.arange(len(samples)), sizes)
+        self.samples = list(samples)
+        sizes = [len(s.values) for s in self.samples]
+        self.values = np.concatenate([s.values for s in self.samples])
+        self.owner = np.repeat(np.arange(len(sizes)), sizes)
         ends = np.cumsum(sizes).tolist()
         self.parts = [
             (s.multiplicities, slice(end - size, end))
-            for s, size, end in zip(samples, sizes, ends)
+            for s, size, end in zip(self.samples, sizes, ends)
         ]
+        self.everyone = list(range(len(sizes)))
 
-    def __call__(self, alphas: Sequence[float]) -> list[float]:
+    def __call__(self, owners: Sequence[int], alphas: Sequence[float]) -> list[float]:
+        if len(alphas) == 1:
+            return [log_likelihood(self.samples[owners[0]], alphas[0])]
+        if len(self.samples) == 1:
+            return log_likelihood(self.samples[0], np.array(alphas)).tolist()
+        if owners != self.everyone:
+            asked = LikelihoodStack([self.samples[j] for j in owners])
+            return asked(asked.everyone, alphas)
         c_list = [1.0 / (1.0 - alpha) for alpha in alphas]
         c = np.array(c_list)
         head = np.array([math.log(x) for x in c_list]) + gammaln(c + 1.0)

@@ -6,9 +6,9 @@ The K replicates of a study, whatever its prior, are dealt to
 min(workers, ceil(K / _CHAINS_PER_SHARD)) shards; one shard runs in this
 process, more run one per pool process.  In a shard, grid-prior replicates
 run one after another, and Jeffreys replicates run in batches whose chains
-advance in lockstep, one array prior call and one stacked likelihood call
-per iteration for the whole batch (`sample_posterior_continuous` given
-sequences).
+advance in lockstep (`sample_posterior_continuous` given sequences): each
+iteration evaluates the whole batch's proposals together, with one array
+prior call and one `LikelihoodStack` call over (sample, alpha) pairs.
 
 Reproducibility contract: every (alpha index, replicate index) pair derives
 its data and chain seeds from the master seed through a SeedSequence spawn

@@ -12,32 +12,30 @@ Two samplers:
 serves as the oracle the discrete chain is tested against.
 
 Chains are deterministic given their seed (all randomness is pre-generated
-from one PCG64 stream).  A chain's draws are those of the
-Metropolis-Hastings recursion taken one proposal at a time, whichever of
-the two forms below computes them; multiple chains may run concurrently
-with independent seeds.
+from one PCG64 stream).  A continuous chain's draws are those of the
+recursion taken one proposal at a time, whichever of its two forms
+computes them, and both take their log-targets from `_log_targets`: one
+array Jeffreys call and one `LikelihoodStack` call over a list of
+(chain, logit) pairs (the scalar calls for a single pair), each value the
+scalar calls' bit for bit.  Its one failure policy: where the array prior
+call raises ``NumericError`` the scalar call is taken at each alpha, and a
+pair whose scalar call raised gets that exception as its log-target.  A
+chain raises it only on reaching that pair, where the chain taken one
+proposal at a time raises.
 
-Prefetched steps: a single continuous chain predicts its next decisions
-from its running acceptance rate, evaluates each predicted run of
-proposals with one array Jeffreys call (`jeffreys_log_unnormalized_array`)
-and one array likelihood call, and replays the decisions up to the first
-mispredicted one (`_prefetched_chain`).  Far from acceptance 1/2 the runs
-are long: at the default step an iteration costs about 14 us on a
-5,000-draw sample at alpha = 0.8 (acceptance 0.10) and 16 us on the hits
-data (0.85), against 21 us one proposal at a time.  Between acceptance 1/4
-and 3/4 the runs are too short to pay for an array call, and the chain
-takes scalar steps at that cost.
-
-Lockstep form: `sample_posterior_continuous` given equal-length sequences
-of samples and configs advances all of their chains together.  Each
-iteration evaluates every live chain's proposal with one array Jeffreys
-call and one stacked likelihood call (`LikelihoodStack`), at about 5 us
-per chain-iteration from a few dozen chains up.  Equality contract: each
-chain keeps its own PCG64 stream, start point and boundary rules, and both
-array calls return the scalar calls' values bit for bit, so every chain
-equals, draw for draw and in its acceptance rate, the chain that a single
-call with its sample and config returns.  A chain whose prior raises
-``NumericError`` comes back as that exception; the others are unchanged.
+* Prefetched steps (`_prefetched_chain`, a single chain): each predicted
+  run of proposals is evaluated in one `_log_targets` call and the
+  decisions are replayed up to the first mispredicted one.  At the
+  default step an iteration costs about 14 us on a 5,000-draw sample at
+  alpha = 0.8 (acceptance 0.10) and 16 us on the hits data (0.85),
+  against 21 us one proposal at a time; between acceptance 1/4 and 3/4
+  the runs are too short to pay for an array call.
+* Lockstep (`_lockstep_chains`, `sample_posterior_continuous` given
+  sequences of samples and configs): every live chain's proposal is
+  evaluated in one `_log_targets` call per iteration, at about 5 us per
+  chain-iteration from a few dozen chains up.  Each chain keeps its own
+  stream, start point and boundary rules, so it equals the single call's
+  chain; a chain whose prior raised comes back as that exception.
 """
 
 from __future__ import annotations
@@ -175,33 +173,57 @@ def _unit_point(x: float) -> tuple[float, float] | None:
     return alpha, 1.0 / (1.0 + math.exp(x))  # 1 - alpha without rounding loss
 
 
-def _log_target(data: FrequencySample, prior: JeffreysPrior, x: float) -> float:
-    """ln q(alpha) + ln L(data | alpha) + ln alpha + ln(1 - alpha) at logit x,
-    -inf where alpha is not strictly inside (0, 1)."""
-    point = _unit_point(x)
-    if point is None:
-        return -math.inf
-    alpha, complement = point
-    return (
-        log_likelihood(data, alpha)
-        + prior.log_unnormalized(alpha)
-        + math.log(alpha)
-        + math.log(complement)
-    )
+def _or_error(call, arg):
+    """``call(arg)``, or the ``NumericError`` it raised."""
+    try:
+        return call(arg)
+    except NumericError as exc:
+        return exc
 
 
-def _log_targets(data: FrequencySample, prior: JeffreysPrior, xs: list[float]) -> list[float]:
-    """`_log_target` at each of ``xs``, bit for bit, from one array prior
-    call and one array likelihood call, the rest summed in its order."""
-    lps = [-math.inf] * len(xs)
-    inside = [(i, p) for i, p in enumerate(map(_unit_point, xs)) if p is not None]
-    if inside:
-        alphas = np.array([alpha for _, (alpha, _) in inside])
-        log_q = prior.log_unnormalized_array(alphas).tolist()
-        log_l = log_likelihood(data, alphas).tolist()
-        for (i, (alpha, complement)), q, ll in zip(inside, log_q, log_l):
-            lps[i] = ll + q + math.log(alpha) + math.log(complement)
-    return lps
+def _log_targets(
+    prior: JeffreysPrior, likelihoods: LikelihoodStack, chains: list[int], xs: list[float]
+) -> tuple[list[float | NumericError], list[float]]:
+    """The log-targets ln L + ln q + ln alpha + ln(1 - alpha) and the alphas
+    of (chain, logit) pairs, each chain's sample taken from ``likelihoods``.
+
+    A log-target is -inf where alpha is not strictly inside (0, 1) (its
+    alpha is then NaN), and the ``NumericError`` the prior raised there
+    where it raised: the pairs' priors come from one array call, or, if
+    that raises, from the scalar call at each alpha.  A single pair takes
+    the scalar calls.  Each value is the sum of the scalar calls' values in
+    this order, bit for bit, whichever calls gave them.
+    """
+    points = list(map(_unit_point, xs))
+    inside = [i for i, point in enumerate(points) if point is not None]
+    lps: list[float | NumericError] = [-math.inf] * len(xs)
+    alphas = [math.nan] * len(xs)
+    if not inside:
+        return lps, alphas
+    asked = [points[i][0] for i in inside]
+    log_q = _or_error(prior.log_unnormalized_array, np.array(asked)) if len(asked) > 1 else None
+    if isinstance(log_q, np.ndarray):
+        log_q = log_q.tolist()
+    else:
+        log_q = [_or_error(prior.log_unnormalized, alpha) for alpha in asked]
+    log_l = likelihoods([chains[i] for i in inside], asked)
+    for i, q, ll in zip(inside, log_q, log_l):
+        alphas[i], complement = points[i]
+        lps[i] = q if isinstance(q, NumericError) else (
+            ll + q + math.log(alphas[i]) + math.log(complement)
+        )
+    return lps, alphas
+
+
+def _chain_setup(data: FrequencySample, cfg: McmcConfig) -> tuple[np.ndarray, np.ndarray, float]:
+    """A chain's random-walk steps and log-uniforms, one per iteration, from
+    its own PCG64 stream, and its start logit."""
+    rng = np.random.Generator(np.random.PCG64(cfg.seed))
+    steps = cfg.proposal_scale * rng.standard_normal(cfg.iterations)
+    with np.errstate(divide="ignore"):
+        log_u = np.log(rng.random(cfg.iterations))
+    alpha0 = _initial_alpha(data)
+    return steps, log_u, math.log(alpha0 / (1.0 - alpha0))
 
 
 # Longest run of proposals that one pair of array calls evaluates ahead,
@@ -219,56 +241,46 @@ def _prefetched_chain(data: FrequencySample, prior: JeffreysPrior, cfg: McmcConf
     L = 1/(1 - p) proposals, p the predicted decision's rate, at most
     ``_MAX_RUN`` and the iterations left, is built along the predicted
     path: each from the same state on a reject path, the running sums of
-    the steps on an accept path.  One array prior call and one array
-    likelihood call give their log-targets (`_log_targets`), each
-    `_log_target`'s value bit for bit.  The decisions are then replayed up
-    to and including the first mispredicted one, whose proposal was built
-    from the true state, so the chain equals the chain taken one proposal
-    at a time, draw for draw (pre-fetching: Brockwell 2006, J. Comput.
-    Graph. Stat. 15:246).
+    the steps on an accept path.  `_log_targets` evaluates them (a run
+    shorter than ``_MIN_RUN`` is one proposal, through the scalar calls).
+    The decisions are then replayed up to and including the first
+    mispredicted one, whose proposal was built from the true state, so the
+    chain equals the chain taken one proposal at a time, draw for draw
+    (pre-fetching: Brockwell 2006, J. Comput. Graph. Stat. 15:246).
 
-    A run shorter than ``_MIN_RUN`` is one scalar step instead.  A run
-    whose array calls raise ``NumericError``, maybe at an alpha the chain
-    never visits, is taken again one scalar step at a time, so the chain
-    raises where, and only where, the chain taken one proposal at a time
-    does.
+    Every replayed proposal is one that the chain taken one proposal at a
+    time evaluates, so raising a replayed proposal's ``NumericError`` makes
+    the chain raise where, and only where, that chain does; a failure
+    past the misprediction is never replayed.
     """
     n_iter = cfg.iterations
-    rng = np.random.Generator(np.random.PCG64(cfg.seed))
-    steps = (cfg.proposal_scale * rng.standard_normal(n_iter)).tolist()
-    with np.errstate(divide="ignore"):
-        log_u = np.log(rng.random(n_iter)).tolist()
-
-    alpha0 = _initial_alpha(data)
-    x = math.log(alpha0 / (1.0 - alpha0))
-    lp = _log_target(data, prior, x)
-    draw = 1.0 / (1.0 + math.exp(-x))
+    steps, log_u, x = _chain_setup(data, cfg)
+    steps, log_u = steps.tolist(), log_u.tolist()
+    likelihoods = LikelihoodStack([data])
+    (lp,), (draw,) = _log_targets(prior, likelihoods, [0], [x])
+    if isinstance(lp, NumericError):
+        raise lp
     trace = []  # the state's alpha after each iteration
     accepted = 0
     i = 0
-    scalar_until = 0  # iterations before this one take scalar steps
     while i < n_iter:
         rate = accepted / i if i else 0.5
         predicted = rate >= 0.5  # the predicted decision: accept or reject
         miss = 1.0 - rate if predicted else rate
         run = min(_MAX_RUN, n_iter - i, int(1.0 / miss) if miss > 0.0 else _MAX_RUN)
-        if run < _MIN_RUN or i < scalar_until:
-            proposals = [x + steps[i]]
-            lps = [_log_target(data, prior, proposals[0])]
+        if run < _MIN_RUN:
+            run, proposals = 1, [x + steps[i]]
+        elif predicted:
+            proposals = list(itertools.accumulate(steps[i : i + run], initial=x))[1:]
         else:
-            if predicted:
-                proposals = list(itertools.accumulate(steps[i : i + run], initial=x))[1:]
-            else:
-                proposals = [x + step for step in steps[i : i + run]]
-            try:
-                lps = _log_targets(data, prior, proposals)
-            except NumericError:
-                scalar_until = i + run
-                continue
-        for proposal, lp_prop, lu in zip(proposals, lps, log_u[i : i + run]):
+            proposals = [x + step for step in steps[i : i + run]]
+        lps, alphas = _log_targets(prior, likelihoods, [0] * run, proposals)
+        for proposal, lp_prop, alpha, lu in zip(proposals, lps, alphas, log_u[i : i + run]):
+            if isinstance(lp_prop, NumericError):
+                raise lp_prop
             took = lp_prop - lp > lu
             if took:
-                x, lp, draw = proposal, lp_prop, 1.0 / (1.0 + math.exp(-proposal))
+                x, lp, draw = proposal, lp_prop, alpha
                 accepted += 1
             trace.append(draw)
             i += 1
@@ -284,17 +296,13 @@ def _lockstep_chains(
     cfgs: Sequence[McmcConfig],
 ) -> list[Chain | NumericError]:
     """One chain per (sample, config), advanced together: each iteration
-    takes every live chain's proposal through one array prior call and one
-    stacked likelihood call.
+    takes every live chain's proposal through one `_log_targets` call.
 
-    Each chain draws its steps and uniforms from its own PCG64 stream, as a
-    single call does, keeps its start point and boundary rules, and takes
-    its draws from ``math.exp``; the array prior and the stacked likelihood
-    return the scalar calls' values bit for bit, so every chain equals the
-    single call's chain, draw for draw.  A proposal whose prior the array
-    pass cannot give is evaluated by the scalar call; a chain whose call
-    raises ``NumericError`` leaves the batch with that exception as its
-    result, and the others go on unchanged.
+    Each chain has its own steps, uniforms and start point, as a single
+    call does, and its own boundary rules and log-targets, so every chain
+    equals the single call's chain, draw for draw.  A chain whose
+    log-target is a ``NumericError`` leaves the batch with that exception
+    as its result, and the others go on unchanged.
     """
     samples, cfgs = list(samples), list(cfgs)
     if len(samples) != len(cfgs):
@@ -305,66 +313,16 @@ def _lockstep_chains(
     finish = set(iterations)  # a chain of n iterations leaves at i = n
     steps = np.zeros((n_iter, k))
     log_u = np.zeros((n_iter, k))
-    for j, cfg in enumerate(cfgs):
-        rng = np.random.Generator(np.random.PCG64(cfg.seed))
-        steps[: cfg.iterations, j] = cfg.proposal_scale * rng.standard_normal(cfg.iterations)
-        with np.errstate(divide="ignore"):
-            log_u[: cfg.iterations, j] = np.log(rng.random(cfg.iterations))
+    x = []
+    for j, (data, cfg) in enumerate(zip(samples, cfgs)):
+        steps[: cfg.iterations, j], log_u[: cfg.iterations, j], x0 = _chain_setup(data, cfg)
+        x.append(x0)
     likelihoods = LikelihoodStack(samples)
-    placeholders = [0.5] * k  # the alphas of chains not evaluated in a call
-    errors: dict[int, NumericError] = {}
-
-    def log_priors(chains: list[int], alphas: list[float]) -> list[float | None]:
-        """ln q at each chain's alpha; None where the scalar call raised."""
-        try:
-            return prior.log_unnormalized_array(np.array(alphas)).tolist()
-        except NumericError:
-            pass
-        out: list[float | None] = []
-        for j, alpha in zip(chains, alphas):
-            try:
-                out.append(prior.log_unnormalized(alpha))
-            except NumericError as exc:
-                errors[j] = exc
-                out.append(None)
-        return out
-
-    def log_targets(chains: list[int], xs: list[float]):
-        """The log-targets and alphas of ``chains`` at logits ``xs``, as the
-        scalar chain's ``log_target`` takes them (-inf outside the float
-        range); the log-target of a chain whose prior raised is None."""
-        lps: list[float | None] = [-math.inf] * len(xs)
-        alphas = [math.nan] * len(xs)
-        inside, inside_chains, complements = [], [], []
-        for i, (j, point) in enumerate(zip(chains, map(_unit_point, xs))):
-            if point is not None:
-                alphas[i], complement = point
-                inside.append(i)
-                inside_chains.append(j)
-                complements.append(complement)
-        if not inside:
-            return lps, alphas
-        inside_alphas = [alphas[i] for i in inside]
-        log_q = log_priors(inside_chains, inside_alphas)
-        stacked = placeholders.copy()
-        for j, alpha in zip(inside_chains, inside_alphas):
-            stacked[j] = alpha
-        log_l = likelihoods(stacked)
-        for i, j, alpha, complement, q in zip(
-            inside, inside_chains, inside_alphas, complements, log_q
-        ):
-            lps[i] = None if q is None else (
-                log_l[j] + q + math.log(alpha) + math.log(complement)
-            )
-        return lps, alphas
 
     # Each chain's state is its logit, log-target and alpha; a chain's draw
     # at an iteration is its alpha, 1/(1 + exp(-x)) as the single call takes it.
-    x = []
-    for data in samples:
-        alpha0 = _initial_alpha(data)
-        x.append(math.log(alpha0 / (1.0 - alpha0)))
-    lp, current = log_targets(list(range(k)), x)
+    lp, current = _log_targets(prior, likelihoods, list(range(k)), x)
+    errors = {j: e for j, e in enumerate(lp) if isinstance(e, NumericError)}
     live = [j for j in range(k) if j not in errors]
     accepted = [0] * k
     trace = np.empty((n_iter, k))
@@ -373,12 +331,15 @@ def _lockstep_chains(
             live = [j for j in live if iterations[j] > i]
         step, log_u_i = steps[i].tolist(), log_u[i].tolist()
         proposals = [x[j] + step[j] for j in live]
-        lp_props, alphas = log_targets(live, proposals)
+        lp_props, alphas = _log_targets(prior, likelihoods, live, proposals)
+        failed = False
         for j, proposal, lp_prop, alpha in zip(live, proposals, lp_props, alphas):
-            if lp_prop is not None and lp_prop - lp[j] > log_u_i[j]:
+            if isinstance(lp_prop, NumericError):
+                errors[j], failed = lp_prop, True
+            elif lp_prop - lp[j] > log_u_i[j]:
                 x[j], lp[j], current[j] = proposal, lp_prop, alpha
                 accepted[j] += 1
-        if None in lp_props:  # chains whose prior raised leave the batch
+        if failed:  # chains whose prior raised leave the batch
             live = [j for j in live if j not in errors]
         trace[i] = current
 

@@ -217,12 +217,21 @@ class TestLikelihoodStack:
             FrequencySample.from_observations(ys.sample(a, 30, seed=i))
             for i, a in enumerate((0.1, 0.5, 0.9))
         ]
-        stack = LikelihoodStack(samples)
+        k = len(samples)
+        cases = [
+            (samples, list(range(k))),  # every sample once, in order
+            (samples, [0, 2, 2, k - 1, 0, 1]),  # repeated owners
+            (samples, [1, 3]),  # a subset
+            (samples, list(range(k))[::-1]),  # reverse order
+            (samples, [k - 1]),  # a single pair
+        ] + [([data], [0] * 33) for data in samples]  # one sample at many alphas
         rng = np.random.default_rng(9)
-        for _ in range(20):
-            alphas = rng.uniform(1e-6, 1.0 - 1e-9, len(samples)).tolist()
-            expected = [ys.log_likelihood(s, a) for s, a in zip(samples, alphas)]
-            assert stack(alphas) == expected
+        for stacked, owners in cases:
+            stack = LikelihoodStack(stacked)
+            for _ in range(20):
+                alphas = rng.uniform(1e-6, 1.0 - 1e-9, len(owners)).tolist()
+                expected = [ys.log_likelihood(stacked[j], a) for j, a in zip(owners, alphas)]
+                assert stack(owners, alphas) == expected
 
 
 class TestTailExpectationIdentity:

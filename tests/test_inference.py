@@ -8,7 +8,8 @@ from scipy.special import logsumexp
 
 import yulesimon as ys
 from yulesimon import Chain, FrequencySample, McmcConfig, PosteriorSummary
-from yulesimon.inference import _log_target, _log_targets
+from yulesimon.distribution import LikelihoodStack
+from yulesimon.inference import _log_targets
 
 from conftest import tv_distance
 
@@ -185,6 +186,28 @@ class _FailsAbove(ys.JeffreysPrior):
         return super().log_unnormalized_array(alphas)
 
 
+def _scalar_log_target(data, prior, x, evaluated=None):
+    """ln L + ln q + ln alpha + ln(1 - alpha) at logit x and its alpha, by
+    the scalar prior and likelihood calls; -inf and NaN where alpha is not
+    strictly inside (0, 1).  Each alpha evaluated is appended to
+    ``evaluated``, if given, before the calls."""
+    if abs(x) > 700.0:
+        return -math.inf, math.nan
+    alpha = 1.0 / (1.0 + math.exp(-x))
+    complement = 1.0 / (1.0 + math.exp(x))
+    if alpha >= 1.0:
+        return -math.inf, math.nan
+    if evaluated is not None:
+        evaluated.append(alpha)
+    lp = (
+        ys.log_likelihood(data, alpha)
+        + prior.log_unnormalized(alpha)
+        + math.log(alpha)
+        + math.log(complement)
+    )
+    return lp, alpha
+
+
 def _reference_chain(data, prior, cfg):
     """The continuous chain one proposal at a time, each through the scalar
     prior and likelihood calls: its draws, its acceptance rate and every
@@ -194,30 +217,14 @@ def _reference_chain(data, prior, cfg):
     with np.errstate(divide="ignore"):
         log_u = np.log(rng.random(cfg.iterations))
     evaluated = []
-
-    def log_target(x):
-        if abs(x) > 700.0:
-            return -math.inf
-        alpha = 1.0 / (1.0 + math.exp(-x))
-        complement = 1.0 / (1.0 + math.exp(x))
-        if alpha >= 1.0:
-            return -math.inf
-        evaluated.append(alpha)
-        return (
-            ys.log_likelihood(data, alpha)
-            + prior.log_unnormalized(alpha)
-            + math.log(alpha)
-            + math.log(complement)
-        )
-
     alpha0 = min(max(1.0 / data.sample_mean, 0.05), 0.95)
     x = math.log(alpha0 / (1.0 - alpha0))
-    lp = log_target(x)
+    lp, _ = _scalar_log_target(data, prior, x, evaluated)
     kept = np.empty(cfg.iterations - cfg.burn_in)
     accepted = 0
     for i in range(cfg.iterations):
         proposal = x + steps[i]
-        lp_prop = log_target(proposal)
+        lp_prop, _ = _scalar_log_target(data, prior, proposal, evaluated)
         if lp_prop - lp > log_u[i]:
             x, lp = proposal, lp_prop
             accepted += 1
@@ -250,15 +257,28 @@ class TestPrefetchedChain:
 
     def test_log_targets_equal_scalar_log_targets(self, hits):
         # Steps across the float range: alpha near 0 and 1, rounding to 1
-        # past x = 36.7, and exp overflowing past 709.8.
+        # past x = 36.7, and exp overflowing past 709.8; on one-sample
+        # stacks, on a two-sample stack with the chains interleaved, and
+        # one pair at a time.
         xs = np.random.default_rng(1).normal(0.0, 15.0, 400).tolist()
         xs += [-701.0, -40.0, 36.0, 37.0, 701.0]
         light = FrequencySample.from_observations(ys.sample(0.8, 5_000, seed=3))
         prior = ys.JeffreysPrior()
-        for data in (hits, light):
-            scalar = [_log_target(data, prior, x) for x in xs]
-            for run in range(0, len(xs), 9):
-                assert _log_targets(data, prior, xs[run : run + 9]) == scalar[run : run + 9]
+        samples = (hits, light)
+        scalar = [[_scalar_log_target(data, prior, x) for x in xs] for data in samples]
+        for data, expected in zip(samples, scalar):
+            lps, alphas = _log_targets(prior, LikelihoodStack([data]), [0] * len(xs), xs)
+            assert lps == [lp for lp, _ in expected]
+            np.testing.assert_array_equal(alphas, [alpha for _, alpha in expected])
+        both = LikelihoodStack(samples)
+        for start in range(0, len(xs), 9):
+            chains = [(start + i) % 2 for i in range(min(9, len(xs) - start))]
+            positions = range(start, start + len(chains))
+            lps, _ = _log_targets(prior, both, chains, xs[start : start + 9])
+            assert lps == [scalar[j][i][0] for j, i in zip(chains, positions)]
+        for j in (0, 1):
+            for x, (lp, _) in zip(xs[:20], scalar[j]):
+                assert _log_targets(prior, both, [j], [x])[0] == [lp]
 
     def test_tuning_warning_points_at_the_caller(self, hits):
         cfg = McmcConfig(200, 50, seed=1, proposal_scale=1e-3)
@@ -337,8 +357,9 @@ class TestLockstepChains:
         prior = _FailsAbove()
         chains = ys.sample_posterior_continuous(samples, prior, cfgs)
         assert isinstance(chains[2], ys.SeriesConvergenceError)
-        with pytest.raises(ys.SeriesConvergenceError):
+        with pytest.raises(ys.SeriesConvergenceError) as single:
             ys.sample_posterior_continuous(samples[2], prior, cfgs[2])
+        assert str(chains[2]) == str(single.value)  # the first failure, at its alpha
         for i in (0, 1, 3, 4)[: size - 1]:
             single = ys.sample_posterior_continuous(samples[i], prior, cfgs[i])
             np.testing.assert_array_equal(chains[i].draws, single.draws)
@@ -353,6 +374,16 @@ class TestLockstepChains:
             ys.sample_posterior_continuous(samples, ys.JeffreysPrior(), cfgs)
         assert len(record) == size
         assert {w.filename for w in record} == {__file__}
+
+    @pytest.mark.parametrize("scale", [0.5, 2.5])
+    def test_array_call_always_failing(self, hits, scale):
+        samples, cfgs = _mixed_batch(4, seed=4)
+        samples = [hits, *samples]
+        cfgs = [McmcConfig(800, 100, seed=9, proposal_scale=scale), *cfgs]
+        prior = _FailsAbove(limit=1.0, array_fails=True)
+        chains = ys.sample_posterior_continuous(samples, prior, cfgs)
+        for data, cfg, chain in zip(samples, cfgs, chains):
+            _assert_equals_reference(chain, data, ys.JeffreysPrior(), cfg)
 
     def test_length_mismatch(self, hits):
         with pytest.raises(ValueError, match="configs"):
