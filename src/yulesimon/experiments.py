@@ -147,8 +147,9 @@ class StudyResult:
 # across cores rests on this model: on that machine two busy processes
 # each ran at half speed, so parallel runs could not be timed.  Grid-prior
 # replicates take the same shards: a 10,000-iteration task (M = 10, n = 30)
-# costs about 2.5 ms, 0.56 ms at 600 iterations, so a 10-task shard takes
-# 6-25 ms, about what a second shard's pool costs to start.
+# costs about 0.9 ms, 0.37 ms at 600 iterations (medians of 360 tasks in
+# one process on that machine), so a 10-task shard takes 4-9 ms, less
+# than a second shard's pool costs to start.
 _CHAINS_PER_SHARD = 10
 # Chains per lockstep batch: a batch holds 24 bytes per chain-iteration
 # (steps, uniforms and the state trace), so 256 chains of 10,000

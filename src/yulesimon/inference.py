@@ -5,11 +5,11 @@ Two samplers:
 * continuous (Jeffreys prior): random-walk Metropolis-Hastings on the
   logit scale, where the proposal is symmetric and the boundary is
   unreachable; the acceptance ratio includes the log-Jacobian of the map.
-* discrete (grid prior): Metropolis-Hastings over grid indices with a
-  uniform independence proposal, which is symmetric for any grid size.
+* discrete (grid prior): independent draws from the grid posterior, whose
+  normalizer is a finite sum, by inverting its cumulative weights.
 
 `exact_grid_posterior` normalizes the discrete posterior in closed form and
-serves as the oracle the discrete chain is tested against.
+serves as the oracle the discrete draws are tested against.
 
 Chains are deterministic given their seed (all randomness is pre-generated
 from one PCG64 stream).  A continuous chain's draws are those of the
@@ -121,12 +121,7 @@ class PosteriorSummary:
             raise ValueError("summary must satisfy ci_low <= median <= ci_high")
 
 
-def _initial_alpha(data: FrequencySample) -> float:
-    # Method-of-moments start: E[K] = 1/alpha, clipped away from the edges.
-    return min(max(1.0 / data.sample_mean, 0.05), 0.95)
-
-
-def _check_mixing(accepted: int, iterations: int, stacklevel: int = 3) -> float:
+def _check_mixing(accepted: int, iterations: int, stacklevel: int) -> float:
     """The acceptance rate; a TuningWarning, pointing at the sampler's
     caller ``stacklevel`` frames up, when it is outside (0.05, 0.95)."""
     rate = accepted / iterations
@@ -217,12 +212,13 @@ def _log_targets(
 
 def _chain_setup(data: FrequencySample, cfg: McmcConfig) -> tuple[np.ndarray, np.ndarray, float]:
     """A chain's random-walk steps and log-uniforms, one per iteration, from
-    its own PCG64 stream, and its start logit."""
+    its own PCG64 stream, and its start logit: the method-of-moments
+    estimate (E[K] = 1/alpha) clipped to [0.05, 0.95]."""
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
     steps = cfg.proposal_scale * rng.standard_normal(cfg.iterations)
     with np.errstate(divide="ignore"):
         log_u = np.log(rng.random(cfg.iterations))
-    alpha0 = _initial_alpha(data)
+    alpha0 = min(max(1.0 / data.sample_mean, 0.05), 0.95)
     return steps, log_u, math.log(alpha0 / (1.0 - alpha0))
 
 
@@ -362,39 +358,31 @@ def _grid_log_posterior(data: FrequencySample, prior: GridPrior) -> np.ndarray:
 def sample_posterior_discrete(
     data: FrequencySample, prior: GridPrior, cfg: McmcConfig
 ) -> Chain:
-    """Independence-proposal MH over the grid indices.
+    """Independent draws from the grid posterior, mass_i L(alpha_i) normalized.
 
-    The proposal is uniform over all grid points (symmetric for any M), so
-    the acceptance ratio is mass(alpha') L(alpha') / [mass(alpha) L(alpha)].
-    Draws take values only in prior.support.
+    The ``iterations - burn_in`` uniforms of the chain's PCG64 stream invert
+    the cumulative sum of the weights exp(log_w - max log_w), where log_w are
+    the log-weights `exact_grid_posterior` normalizes.  A point of zero
+    weight is never drawn.  As Metropolis-Hastings with an independence
+    proposal equal to the target, every draw is accepted: the acceptance
+    rate is 1.  Draws take values only in prior.support.
     """
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
-    n_points = len(prior.support)
-    # Python lists: indexing them costs a fraction of indexing numpy arrays
-    proposals = rng.integers(0, n_points, size=cfg.iterations).tolist()
-    with np.errstate(divide="ignore"):
-        log_u = np.log(rng.random(cfg.iterations)).tolist()
-    log_post = _grid_log_posterior(data, prior).tolist()
-
-    idx = int(np.argmin(np.abs(prior.support - _initial_alpha(data))))
-    lp = log_post[idx]
-    visited = []
-    accepted = 0
-    for j, lu in zip(proposals, log_u):
-        lp_prop = log_post[j]
-        if lp_prop - lp > lu:
-            idx, lp = j, lp_prop
-            accepted += 1
-        visited.append(idx)
-    rate = _check_mixing(accepted, cfg.iterations)
-    return Chain(prior.support[visited[cfg.burn_in :]], rate, cfg)
+    log_w = _grid_log_posterior(data, prior)
+    cdf = np.cumsum(np.exp(log_w - log_w.max()))
+    # u * cdf[-1] can round up to cdf[-1]; such a draw takes the last point
+    # of positive weight, not a zero-weight point past it
+    last = np.searchsorted(cdf, cdf[-1])
+    idx = np.searchsorted(cdf, rng.random(cfg.iterations - cfg.burn_in) * cdf[-1], side="right")
+    return Chain(prior.support[np.minimum(idx, last)], 1.0, cfg)
 
 
 def exact_grid_posterior(data: FrequencySample, prior: GridPrior) -> GridPrior:
     """Closed-form grid posterior: mass_i proportional to prior_i L(alpha_i).
 
-    Normalized with log-sum-exp; the result is the reference the discrete
-    chain's empirical distribution is compared against.
+    Normalized with log-sum-exp; the result is the reference the empirical
+    distribution of `sample_posterior_discrete`'s draws is compared against.
+    That sampler takes the same log-weights but needs no normalizer.
     """
     log_w = _grid_log_posterior(data, prior)
     log_w -= logsumexp(log_w)

@@ -409,6 +409,14 @@ def loss_based_prior(m: int, ctrl: SeriesControl = _DEFAULT_SERIES) -> GridPrior
     `kl_divergence`, in O(M) time and memory flat in M; the first head
     certifies up to at least M = 10^4.  Deterministic: identical inputs give
     bit-identical masses.
+
+    The KL to a neighbour 1/M away is I(alpha_i) / (2 M^2) to leading order,
+    so at each fixed alpha the masses go as I(alpha)(1 + O(1/M)), I the
+    Fisher information.  I(alpha) grows as 1/(1 - alpha) near 1, where its
+    integral diverges, so the masses have no proper limit as M grows: they
+    drift to the top of the grid.  The top point holds 0.312, 0.236, 0.147,
+    0.095 and 0.070 of the mass at M = 10, 20, 10^2, 10^3 and 10^4; the
+    points above 0.99 hold 0.33 at M = 10^3 and 0.51 at M = 10^4.
     """
     if m < 3:
         raise ValueError(f"grid denominator M must be >= 3, got {m}")

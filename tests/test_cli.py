@@ -156,7 +156,6 @@ def _chains():
     }
 
 
-@pytest.mark.filterwarnings("ignore::yulesimon.TuningWarning")
 @pytest.mark.parametrize("kind", ["discrete", "continuous", "all-distinct"])
 def test_chain_writer_bytes(tmp_path, kind):
     chain = _chains()[kind]
@@ -321,3 +320,64 @@ def test_jeffreys_fit_bytes(tmp_path, case):
     argv = ["fit", *argv, "--prior", "jeffreys", "--seed", "7"]
     assert cli.main(argv + ["--out-chain", str(chain), "--out-summary", str(summary)]) == 0
     assert (_sha256(chain), _sha256(summary)) == JEFFREYS_FIT_SHA256[case]
+
+
+# `ys simulate --prior loss --m 10 --n 30 --reps 2 --iters 600 --burnin 100
+# --seed 20160419`, as written when grid-prior draws became independent
+# draws from the exact grid posterior.
+LOSS_STUDY_CSV = """\
+alpha,coverage,rel_rmse_mean,rel_rmse_median,failures
+0.10000000000000001,1,0.71961795419514107,0.70710678118654757,0
+0.20000000000000001,1,1.4975822181102443,1.4999999999999998,0
+0.29999999999999999,1,0.25299011838409818,0.33333333333333337,0
+0.40000000000000002,1,0.52869757423313379,0.63737743919909806,0
+0.5,1,0.1576045684617042,0.14142135623730948,0
+0.59999999999999998,0.5,0.36295492527003653,0.4249182927993988,0
+0.69999999999999996,1,0.10364657372483649,0.10101525445522105,0
+0.80000000000000004,1,0.077281951321120396,0.088388347648318419,0
+0.90000000000000002,1,0.020275875100993841,0,0
+"""
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_loss_study_bytes(tmp_path, workers):
+    argv = [
+        "simulate", "--prior", "loss", "--m", "10", "--n", "30", "--reps", "2",
+        "--iters", "600", "--burnin", "100", "--seed", "20160419", "--workers", workers,
+    ]
+    expected = LOSS_STUDY_CSV.replace("\n", "\r\n")  # csv.writer's row ends
+    assert _run_and_read(tmp_path, argv) == expected.encode("utf-8")
+
+
+# sha256 of the chain CSV and the summary JSON of `ys fit --prior loss`, as
+# written when grid-prior draws became independent draws from the exact
+# grid posterior: on the hits data at M = 20, and on a surnames-mode table
+# of ys.sample(0.3, 20000, seed=3) at M = 1,000.
+LOSS_FIT_SHA256 = {
+    "hits": (
+        "878a9919ee80ce41ff00f0cdabb091af01f64abd27e99f690f57ced0c3401dee",
+        "2bb5a2e28df96faf440d56cca26910538412e26241e73e76595c8729c2567e17",
+    ),
+    "surnames": (
+        "b1c29f52092d0a55946df03bb61e81ca49ffd7a8e91459cf166c6354954a7378",
+        "c5f2ba561129173ee6009ae6dbdd026d8bc92d82dae3d8e7f785948470b8897f",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", ["hits", "surnames"])
+def test_loss_fit_bytes(tmp_path, case):
+    import yulesimon as ys
+
+    if case == "hits":
+        argv = ["--data", "hits", "--m", "20", "--iters", "3000", "--burnin", "500"]
+    else:
+        table = tmp_path / "surnames.csv"
+        rows = "".join(f"S{i:05d},{k}\n" for i, k in enumerate(ys.sample(0.3, 20_000, 3).tolist()))
+        table.write_text("label,frequency\n" + rows, encoding="utf-8")
+        argv = ["--data", str(table), "--mode", "surnames", "--m", "1000"]
+        argv += ["--iters", "4000", "--burnin", "1000"]
+    chain, summary = tmp_path / "chain.csv", tmp_path / "summary.json"
+    argv = ["fit", *argv, "--prior", "loss", "--seed", "7"]
+    assert cli.main(argv + ["--out-chain", str(chain), "--out-summary", str(summary)]) == 0
+    assert (_sha256(chain), _sha256(summary)) == LOSS_FIT_SHA256[case]

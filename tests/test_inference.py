@@ -1,5 +1,6 @@
 import math
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -410,6 +411,41 @@ class TestDiscreteSampler:
         exact = ys.exact_grid_posterior(hits, prior)
         empirical = np.array([(chain.draws == a).mean() for a in prior.support])
         assert tv_distance(empirical, exact.masses) < 0.02
+
+    @pytest.mark.parametrize("m, seed", [(10, 41), (20, 42), (1000, 43)])
+    def test_g_test_against_exact_masses(self, hits, m, seed):
+        # A likelihood-ratio (G) test of the draw counts against the exact
+        # masses, cells of expected count under 5 pooled.  At M = 1,000 the
+        # data are 1e5 draws at alpha = 0.3, where most masses underflow to 0.
+        import scipy.stats
+
+        prior = ys.loss_based_prior(m)
+        data = hits if m < 1000 else FrequencySample.from_observations(ys.sample(0.3, 100_000, seed))
+        masses = ys.exact_grid_posterior(data, prior).masses
+        if m == 1000:
+            assert np.count_nonzero(masses == 0.0) > m // 2
+        chain = ys.sample_posterior_discrete(data, prior, McmcConfig(20_000, 0, seed))
+        index = np.searchsorted(prior.support, chain.draws)
+        np.testing.assert_array_equal(prior.support[index], chain.draws)
+        assert np.all(masses[index] > 0.0)
+        observed = np.bincount(index, minlength=len(masses)).astype(float)
+        expected = len(chain.draws) * masses
+        small = expected < 5.0
+        observed = np.append(observed[~small], observed[small].sum())
+        expected = np.append(expected[~small], expected[small].sum())
+        seen = observed > 0.0
+        g = 2.0 * np.sum(observed[seen] * np.log(observed[seen] / expected[seen]))
+        assert scipy.stats.chi2.sf(g, len(observed) - 1) > 1e-3
+
+    def test_surnames_fit_accepts_every_draw_without_warning(self):
+        # A surnames-mode table at M = 1,000, where a uniform-proposal
+        # Metropolis chain accepts about 1% of its proposals.
+        data = FrequencySample.from_observations(ys.sample(0.3, 100_000, seed=3))
+        cfg = McmcConfig(iterations=25_000, burn_in=5_000, seed=3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ys.TuningWarning)
+            chain = ys.sample_posterior_discrete(data, ys.loss_based_prior(1000), cfg)
+        assert chain.acceptance_rate == 1.0
 
 
 class TestExactGridPosterior:
