@@ -5,10 +5,11 @@ case studies.
 The K replicates of a study, whatever its prior, are dealt to
 min(workers, ceil(K / _CHAINS_PER_SHARD)) shards; one shard runs in this
 process, more run one per pool process.  In a shard, grid-prior replicates
-run one after another, and Jeffreys replicates run in batches whose chains
-advance in lockstep (`sample_posterior_continuous` given sequences): each
-iteration evaluates the whole batch's proposals together, with one array
-prior call and one `LikelihoodStack` call over (sample, alpha) pairs.
+run one after another, and Jeffreys replicates run as batches of chains
+(`sample_posterior_continuous` given sequences): each round evaluates the
+whole batch's proposals together, with one array prior call and one
+`LikelihoodStack` call over (sample, alpha) pairs.  Nine or more live
+chains take one proposal each per round; fewer take predicted runs.
 
 Reproducibility contract: every (alpha index, replicate index) pair derives
 its data and chain seeds from the master seed through a SeedSequence spawn
@@ -132,10 +133,11 @@ class StudyResult:
 
 # Replicates per shard: a study of K replicates runs in
 # min(workers, ceil(K / 10)) shards.  Timed in one process at n = 30 on a
-# 2-CPU machine, a lockstep iteration costs about 41 us plus 4.3 us per
-# chain, and a single chain 21 us per iteration (its acceptance, 0.7-0.8 at
-# n = 30, predicts runs too short for its prefetched array calls, so it
-# steps one proposal at a time).  The per-replicate pool that shards
+# 2-CPU machine when this size was chosen, a round of one proposal per chain
+# cost about 41 us plus 4.3 us per chain, and a single chain 21 us per
+# iteration (at its acceptance, 0.7-0.8 at n = 30, most predicted runs are
+# too short for an array call, so it steps one proposal at a time; so does
+# a shard while any of its chains does).  The per-replicate pool that shards
 # replace (chunksize 4) ran four single chains back to back per task,
 # 84 us per iteration, so shards of at most 10 chains (84 us) keep a study
 # of 4 or more replicates no slower per iteration than that pool on any
@@ -151,7 +153,7 @@ class StudyResult:
 # one process on that machine), so a 10-task shard takes 4-9 ms, less
 # than a second shard's pool costs to start.
 _CHAINS_PER_SHARD = 10
-# Chains per lockstep batch: a batch holds 24 bytes per chain-iteration
+# Chains per batch: a batch holds 24 bytes per chain-iteration
 # (steps, uniforms and the state trace), so 256 chains of 10,000
 # iterations take 61 MB; past about 60 chains the cost per chain-iteration
 # no longer falls, so larger batches would gain nothing.
@@ -198,9 +200,8 @@ def _run_task(args) -> tuple[int, int, PosteriorSummary | None]:
 
 def _run_shard(tasks) -> list[tuple[int, int, PosteriorSummary | None]]:
     """Replicates (tasks as for `_run_task`, all with one prior): grid-prior
-    ones one after another, Jeffreys ones with their chains in lockstep
-    batches of at most _MAX_BATCH.  A fit that raised ``NumericError``
-    gives None."""
+    ones one after another, Jeffreys ones as chain batches of at most
+    _MAX_BATCH.  A fit that raised ``NumericError`` gives None."""
     if isinstance(tasks[0][-1], GridPrior):
         return [_run_task(task) for task in tasks]
     out = []
@@ -240,7 +241,7 @@ def run_coverage_study(cfg: StudyConfig, workers: int | None = None) -> StudyRes
     min(workers, ceil(K / _CHAINS_PER_SHARD)) shards, so a study of fewer
     than _CHAINS_PER_SHARD + 1 replicates runs in this process and forks
     nothing.  A shard runs grid-prior replicates one after another and
-    Jeffreys replicates as lockstep chain batches.  The output does not
+    Jeffreys replicates as chain batches.  The output does not
     depend on the worker count (see the module docstring).
     """
     prior = _build_prior(cfg.prior_spec)

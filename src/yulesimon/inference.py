@@ -12,30 +12,23 @@ Two samplers:
 serves as the oracle the discrete draws are tested against.
 
 Chains are deterministic given their seed (all randomness is pre-generated
-from one PCG64 stream).  A continuous chain's draws are those of the
-recursion taken one proposal at a time, whichever of its two forms
-computes them, and both take their log-targets from `_log_targets`: one
-array Jeffreys call and one `LikelihoodStack` call over a list of
-(chain, logit) pairs (the scalar calls for a single pair), each value the
-scalar calls' bit for bit.  Its one failure policy: where the array prior
-call raises ``NumericError`` the scalar call is taken at each alpha, and a
-pair whose scalar call raised gets that exception as its log-target.  A
-chain raises it only on reaching that pair, where the chain taken one
-proposal at a time raises.
+from one PCG64 stream).  Every continuous chain runs in one engine,
+`_chains`: a single fit is a batch of one chain, a study shard's fits a
+batch of many.  Each round evaluates every live chain's proposals, one each
+or a predicted run each, in one `_log_targets` call: one array Jeffreys call
+and one `LikelihoodStack` call over (chain, logit) pairs (the scalar calls
+for a single pair), each value the scalar calls' bit for bit.  Replaying
+each chain's decisions up to its first mispredicted one gives the draws of
+the chain taken one proposal at a time, whichever batch it ran in; a
+``NumericError`` from the prior ends a chain only where that chain raises.
 
-* Prefetched steps (`_prefetched_chain`, a single chain): each predicted
-  run of proposals is evaluated in one `_log_targets` call and the
-  decisions are replayed up to the first mispredicted one.  At the
-  default step an iteration costs about 14 us on a 5,000-draw sample at
-  alpha = 0.8 (acceptance 0.10) and 16 us on the hits data (0.85),
-  against 21 us one proposal at a time; between acceptance 1/4 and 3/4
-  the runs are too short to pay for an array call.
-* Lockstep (`_lockstep_chains`, `sample_posterior_continuous` given
-  sequences of samples and configs): every live chain's proposal is
-  evaluated in one `_log_targets` call per iteration, at about 5 us per
-  chain-iteration from a few dozen chains up.  Each chain keeps its own
-  stream, start point and boundary rules, so it equals the single call's
-  chain; a chain whose prior raised comes back as that exception.
+Costs per iteration at the default step, least of 9 interleaved runs on a
+shared 2-CPU host whose speed varied by a third from run to run: a single
+chain takes about 21 us on a 5,000-draw sample at alpha = 0.8 (acceptance
+0.11) and 28-39 us on the hits data (0.85), against 55 us on either one
+proposal at a time; between acceptance 1/4 and 3/4 its runs are too short
+to pay for an array call.  A round of 9 to 64 chains at n = 30 costs about
+65 us plus 7.4 us per chain.
 """
 
 from __future__ import annotations
@@ -146,13 +139,26 @@ def sample_posterior_continuous(
     the log-target in x = logit(alpha) gains the Jacobian term
     log alpha + log(1-alpha).
 
-    Given equal-length sequences of samples and configs, runs one chain per
-    pair in lockstep (see `_lockstep_chains`) and returns the list of their
-    chains; a chain that raised ``NumericError`` is that exception instead.
+    Given one sample and one config, returns its chain, or raises the
+    ``NumericError`` its prior raised.  Given equal-length sequences of
+    samples and configs, returns one chain per pair, a chain that failed
+    being that exception instead (none for empty sequences).  Each chain
+    equals the chain of a single call with its config, draw for draw.
     """
-    if not isinstance(data, FrequencySample):
-        return _lockstep_chains(data, prior, cfg)
-    return _prefetched_chain(data, prior, cfg)
+    if isinstance(data, FrequencySample) and isinstance(cfg, McmcConfig):
+        (chain,) = _chains([data], prior, [cfg])
+        if isinstance(chain, NumericError):
+            raise chain
+        return chain
+    if isinstance(data, FrequencySample) or isinstance(cfg, McmcConfig):
+        raise ValueError(
+            "pass one sample with one McmcConfig, or equal-length sequences of "
+            f"samples and configs; got {type(data).__name__} and {type(cfg).__name__}"
+        )
+    samples, cfgs = list(data), list(cfg)
+    if len(samples) != len(cfgs):
+        raise ValueError(f"got {len(samples)} samples but {len(cfgs)} configs")
+    return _chains(samples, prior, cfgs) if samples else []
 
 
 def _unit_point(x: float) -> tuple[float, float] | None:
@@ -225,88 +231,36 @@ def _chain_setup(data: FrequencySample, cfg: McmcConfig) -> tuple[np.ndarray, np
 # Longest run of proposals that one pair of array calls evaluates ahead,
 # and the shortest: a predicted run of three (acceptance 1/4 to 1/3 or 2/3
 # to 3/4) costs no less per iteration in array calls than in scalar steps.
+# The K chains of a round share the longest, 32 // K each, so from 9 live
+# chains on every chain takes one proposal per round.
 _MAX_RUN = 32
 _MIN_RUN = 4
 
 
-def _prefetched_chain(data: FrequencySample, prior: JeffreysPrior, cfg: McmcConfig) -> Chain:
-    """One chain, its proposals evaluated ahead in predicted runs.
-
-    The next decision is predicted to be the more frequent one so far
-    (accept from a running acceptance rate of 1/2 up), and a run of
-    L = 1/(1 - p) proposals, p the predicted decision's rate, at most
-    ``_MAX_RUN`` and the iterations left, is built along the predicted
-    path: each from the same state on a reject path, the running sums of
-    the steps on an accept path.  `_log_targets` evaluates them (a run
-    shorter than ``_MIN_RUN`` is one proposal, through the scalar calls).
-    The decisions are then replayed up to and including the first
-    mispredicted one, whose proposal was built from the true state, so the
-    chain equals the chain taken one proposal at a time, draw for draw
-    (pre-fetching: Brockwell 2006, J. Comput. Graph. Stat. 15:246).
-
-    Every replayed proposal is one that the chain taken one proposal at a
-    time evaluates, so raising a replayed proposal's ``NumericError`` makes
-    the chain raise where, and only where, that chain does; a failure
-    past the misprediction is never replayed.
-    """
-    n_iter = cfg.iterations
-    steps, log_u, x = _chain_setup(data, cfg)
-    steps, log_u = steps.tolist(), log_u.tolist()
-    likelihoods = LikelihoodStack([data])
-    (lp,), (draw,) = _log_targets(prior, likelihoods, [0], [x])
-    if isinstance(lp, NumericError):
-        raise lp
-    trace = []  # the state's alpha after each iteration
-    accepted = 0
-    i = 0
-    while i < n_iter:
-        rate = accepted / i if i else 0.5
-        predicted = rate >= 0.5  # the predicted decision: accept or reject
-        miss = 1.0 - rate if predicted else rate
-        run = min(_MAX_RUN, n_iter - i, int(1.0 / miss) if miss > 0.0 else _MAX_RUN)
-        if run < _MIN_RUN:
-            run, proposals = 1, [x + steps[i]]
-        elif predicted:
-            proposals = list(itertools.accumulate(steps[i : i + run], initial=x))[1:]
-        else:
-            proposals = [x + step for step in steps[i : i + run]]
-        lps, alphas = _log_targets(prior, likelihoods, [0] * run, proposals)
-        for proposal, lp_prop, alpha, lu in zip(proposals, lps, alphas, log_u[i : i + run]):
-            if isinstance(lp_prop, NumericError):
-                raise lp_prop
-            took = lp_prop - lp > lu
-            if took:
-                x, lp, draw = proposal, lp_prop, alpha
-                accepted += 1
-            trace.append(draw)
-            i += 1
-            if took != predicted:
-                break
-    rate = _check_mixing(accepted, n_iter, stacklevel=4)
-    return Chain(np.array(trace[cfg.burn_in :]), rate, cfg)
-
-
-def _lockstep_chains(
+def _chains(
     samples: Sequence[FrequencySample],
     prior: JeffreysPrior,
     cfgs: Sequence[McmcConfig],
 ) -> list[Chain | NumericError]:
-    """One chain per (sample, config), advanced together: each iteration
-    takes every live chain's proposal through one `_log_targets` call.
+    """One chain per (sample, config), advanced together in rounds.
 
-    Each chain has its own steps, uniforms and start point, as a single
-    call does, and its own boundary rules and log-targets, so every chain
-    equals the single call's chain, draw for draw.  A chain whose
-    log-target is a ``NumericError`` leaves the batch with that exception
-    as its result, and the others go on unchanged.
+    Each of the K live chains predicts its next decision to be its more
+    frequent one so far (accept from a running acceptance rate of 1/2 up)
+    and a run of L = 1/(1 - p) proposals, p that decision's rate, at most
+    _MAX_RUN // K and its iterations left.  If every run is at least
+    _MIN_RUN, each chain contributes its run, built along the predicted
+    path (from the same state on a reject path, by running sums of the steps
+    on an accept path); otherwise each contributes one proposal, since a
+    chain taking one per round sets the number of rounds.  Each chain's
+    decisions are replayed up to and including its first mispredicted one,
+    whose proposal was built from the true state (pre-fetching: Brockwell
+    2006, J. Comput. Graph. Stat. 15:246).  A replayed ``NumericError``
+    ends its chain with that exception as its result; the others go on, and
+    a failure past a misprediction is never replayed.
     """
-    samples, cfgs = list(samples), list(cfgs)
-    if len(samples) != len(cfgs):
-        raise ValueError(f"got {len(samples)} samples but {len(cfgs)} configs")
     k = len(samples)
     iterations = [cfg.iterations for cfg in cfgs]
     n_iter = max(iterations)
-    finish = set(iterations)  # a chain of n iterations leaves at i = n
     steps = np.zeros((n_iter, k))
     log_u = np.zeros((n_iter, k))
     x = []
@@ -316,28 +270,69 @@ def _lockstep_chains(
     likelihoods = LikelihoodStack(samples)
 
     # Each chain's state is its logit, log-target and alpha; a chain's draw
-    # at an iteration is its alpha, 1/(1 + exp(-x)) as the single call takes it.
+    # at an iteration is its alpha, 1/(1 + exp(-x)) as `_unit_point` takes it.
     lp, current = _log_targets(prior, likelihoods, list(range(k)), x)
     errors = {j: e for j, e in enumerate(lp) if isinstance(e, NumericError)}
     live = [j for j in range(k) if j not in errors]
     accepted = [0] * k
+    predicted = [True] * k  # the decision each chain's run predicts
     trace = np.empty((n_iter, k))
-    for i in range(n_iter):
-        if i in finish:
-            live = [j for j in live if iterations[j] > i]
-        step, log_u_i = steps[i].tolist(), log_u[i].tolist()
-        proposals = [x[j] + step[j] for j in live]
-        lp_props, alphas = _log_targets(prior, likelihoods, live, proposals)
-        failed = False
-        for j, proposal, lp_prop, alpha in zip(live, proposals, lp_props, alphas):
-            if isinstance(lp_prop, NumericError):
-                errors[j], failed = lp_prop, True
-            elif lp_prop - lp[j] > log_u_i[j]:
+    # Flat views of the arrays, whose slices and elements cost a fraction of
+    # numpy indexing's: chain j's iteration i is element i * k + j.  at[j] is
+    # that element for the chain's next iteration, end[j] the one past its last.
+    step_at, lu_at, trace_at = (memoryview(a.ravel()) for a in (steps, log_u, trace))
+    at = list(range(k))
+    end = [n * k + j for j, n in enumerate(iterations)]
+    left = 0  # iterations before a live chain can end, or 0 once one failed
+    while live:
+        cap = _MAX_RUN // len(live)
+        runs = []
+        if cap >= _MIN_RUN:
+            for j in live:
+                i = at[j] // k
+                rate = accepted[j] / i if i else 0.5
+                guess = predicted[j] = rate >= 0.5
+                miss = 1.0 - rate if guess else rate
+                run = min(cap, iterations[j] - i, int(1.0 / miss) if miss > 0.0 else cap)
+                if run < _MIN_RUN:
+                    break
+                runs.append(run)
+        if len(runs) < len(live):  # one proposal per chain
+            owners = live
+            xs = [x[j] + step_at[at[j]] for j in live]
+            lus = [lu_at[at[j]] for j in live]
+            left -= 1
+        else:
+            left -= max(runs)
+            owners, xs, lus = [], [], []
+            for j, run in zip(live, runs):
+                column = slice(at[j], at[j] + run * k, k)
+                if predicted[j]:
+                    xs += list(itertools.accumulate(step_at[column].tolist(), initial=x[j]))[1:]
+                else:
+                    xs += [x[j] + s for s in step_at[column].tolist()]
+                owners += [j] * run
+                lus += lu_at[column].tolist()
+        lps, alphas = _log_targets(prior, likelihoods, owners, xs)
+        stop = -1  # the chain whose run stopped at a misprediction or failure
+        for j, proposal, lp_prop, alpha, lu_j in zip(owners, xs, lps, alphas, lus):
+            if j == stop:
+                continue
+            if isinstance(lp_prop, NumericError):  # the chain ends here
+                errors[j], stop, at[j], left = lp_prop, j, end[j], 0
+                continue
+            took = lp_prop - lp[j] > lu_j
+            if took:
                 x[j], lp[j], current[j] = proposal, lp_prop, alpha
                 accepted[j] += 1
-        if failed:  # chains whose prior raised leave the batch
-            live = [j for j in live if j not in errors]
-        trace[i] = current
+            trace_at[at[j]] = current[j]
+            at[j] += k
+            if took != predicted[j]:
+                stop = j
+        if left <= 0:
+            live = [j for j in live if at[j] < end[j]]
+            left = min([end[j] - at[j] for j in live], default=0) // k
+    del steps, log_u, step_at, lu_at  # freed before the draws are copied out
 
     chains = []
     for j, cfg in enumerate(cfgs):

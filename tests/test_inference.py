@@ -1,6 +1,8 @@
 import math
 import sys
+import tracemalloc
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +11,7 @@ from scipy.special import logsumexp
 
 import yulesimon as ys
 from yulesimon import Chain, FrequencySample, McmcConfig, PosteriorSummary
+from yulesimon import inference
 from yulesimon.distribution import LikelihoodStack
 from yulesimon.inference import _log_targets
 
@@ -147,6 +150,14 @@ class TestContinuousSampler:
         )
         assert abs(short.mean - long.mean) < 0.01
         assert abs(short.median - long.median) < 0.01
+
+
+# Bytes a batch may take beyond 32 per chain-iteration (see
+# test_batch_memory_per_chain_iteration): 32 chains of 500 iterations took
+# 87 kB more under the two-loop engine that `_chains` replaced and 85 kB
+# more under `_chains` (Python 3.11, numpy 2.4); with the trace kept in
+# Python lists they took 326 kB more.
+_BATCH_ALLOWANCE = 160_000
 
 
 def _mixed_batch(size, seed):
@@ -389,6 +400,96 @@ class TestLockstepChains:
     def test_length_mismatch(self, hits):
         with pytest.raises(ValueError, match="configs"):
             ys.sample_posterior_continuous([hits, hits], ys.JeffreysPrior(), [McmcConfig(10, 0, 1)])
+
+    @staticmethod
+    def _spy_rounds(monkeypatch):
+        """(proposals, chains) of every `_log_targets` call from here on."""
+        rounds = []
+
+        def spy(prior, likelihoods, chains, xs):
+            rounds.append((len(chains), len(set(chains))))
+            return _log_targets(prior, likelihoods, chains, xs)
+
+        monkeypatch.setattr(inference, "_log_targets", spy)
+        return rounds
+
+    @pytest.mark.parametrize("others", ["absent", "short"])
+    def test_few_live_chains_take_predicted_runs(self, monkeypatch, others):
+        # The chains of proposal scale 40 accept rarely and predict long
+        # runs of rejections.  Two of them take runs from the start.  In a
+        # batch of twelve, all take one proposal per round until the 8
+        # others stop at 200 of 600 iterations; the 4 left then take runs.
+        samples, cfgs = _mixed_batch(6 if others == "absent" else 12, seed=12)
+        if others == "absent":
+            samples, cfgs = samples[2::3], cfgs[2::3]
+        else:
+            cfgs = [replace(cfg, iterations=600 if cfg.proposal_scale == 40.0 else 200) for cfg in cfgs]
+        prior = ys.JeffreysPrior()
+        rounds = self._spy_rounds(monkeypatch)
+        chains = ys.sample_posterior_continuous(samples, prior, cfgs)
+        assert any(proposals > live for proposals, live in rounds)
+        for data, cfg, chain in zip(samples, cfgs, chains):
+            _assert_equals_reference(chain, data, prior, cfg)
+
+    def test_failures_down_to_a_few_live_chains(self, monkeypatch):
+        # Four chains on samples at alpha = 0.87 fail once they propose
+        # alpha > 0.9; the 8 chains of small steps on samples at low alpha
+        # accept nearly always, and then take runs.
+        samples, cfgs = [], []
+        for j in range(12):
+            near = j % 3 == 0
+            alpha, n = (0.87, 500) if near else (0.1 + 0.03 * j, 30)
+            samples.append(FrequencySample.from_observations(ys.sample(alpha, n, seed=100 + j)))
+            cfgs.append(McmcConfig(600, 100, seed=100 + j, proposal_scale=0.5 if near else 0.05))
+        rounds = self._spy_rounds(monkeypatch)
+        chains = ys.sample_posterior_continuous(samples, _FailsAbove(), cfgs)
+        assert [isinstance(chain, ys.NumericError) for chain in chains] == [j % 3 == 0 for j in range(12)]
+        assert any(proposals > live for proposals, live in rounds)
+        for data, cfg, chain in zip(samples, cfgs, chains):
+            if isinstance(chain, ys.NumericError):
+                with pytest.raises(ys.SeriesConvergenceError) as reference:
+                    _reference_chain(data, _FailsAbove(), cfg)
+                assert str(chain) == str(reference.value)
+            else:
+                _assert_equals_reference(chain, data, _FailsAbove(), cfg)
+
+    def test_batch_memory_per_chain_iteration(self):
+        # Steps, log-uniforms and trace take 24 bytes per chain-iteration
+        # and the chains' draws 8 (no burn-in).  The fixed allowance covers
+        # the likelihood stack, the prior's array calls, one chain's setup
+        # arrays and the per-chain state.
+        k, n = 32, 500
+        samples = [
+            FrequencySample.from_observations(ys.sample(0.1 + 0.8 * j / (k - 1), 30, seed=j))
+            for j in range(k)
+        ]
+        cfgs = [McmcConfig(n, 0, seed=j) for j in range(k)]
+        tracemalloc.start()
+        try:
+            ys.sample_posterior_continuous(samples, ys.JeffreysPrior(), cfgs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * k * n + _BATCH_ALLOWANCE
+
+
+class TestCallShape:
+    """One sample goes with one config, a sequence of samples with a
+    sequence of configs."""
+
+    @pytest.mark.parametrize("as_list", ["configs", "samples"])
+    def test_mixed_call_is_refused(self, hits, as_list):
+        data, cfg = hits, McmcConfig(10, 0, 1)
+        if as_list == "configs":
+            cfg = [cfg]
+        else:
+            data = [data]
+        with pytest.raises(ValueError, match="one sample with one McmcConfig"):
+            ys.sample_posterior_continuous(data, ys.JeffreysPrior(), cfg)
+
+    def test_empty_sequences_give_no_chains(self):
+        assert ys.sample_posterior_continuous([], ys.JeffreysPrior(), []) == []
+        assert ys.sample_posterior_continuous((), ys.JeffreysPrior(), ()) == []
 
 
 class TestDiscreteSampler:
