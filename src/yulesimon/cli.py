@@ -77,7 +77,6 @@ def _build_parser() -> _Parser:
     p_fit.add_argument("--iters", type=int, default=25_000)
     p_fit.add_argument("--burnin", type=int, default=5_000)
     p_fit.add_argument("--seed", type=int, required=True)
-    p_fit.add_argument("--proposal-scale", type=float, default=0.5)
     p_fit.add_argument("--decimals", type=int, default=2, help="returns truncation digits")
     p_fit.add_argument("--out-summary")
     p_fit.add_argument("--out-chain")
@@ -174,12 +173,7 @@ def _cmd_prior(args) -> int:
 
 def _cmd_fit(args) -> int:
     with _argument_values():
-        cfg = McmcConfig(
-            iterations=args.iters,
-            burn_in=args.burnin,
-            seed=args.seed,
-            proposal_scale=args.proposal_scale,
-        )
+        cfg = McmcConfig(iterations=args.iters, burn_in=args.burnin, seed=args.seed)
         if args.prior == "loss":
             PriorSpec("loss", args.m)
     if args.decimals < 0:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 from scipy.special import gammaln
@@ -30,7 +30,6 @@ __all__ = [
     "mean",
     "sample",
     "log_likelihood",
-    "LikelihoodStack",
 ]
 
 # Largest draw the sampler will emit; reached only on the measure-zero-ish
@@ -48,7 +47,7 @@ def _check_alpha(alpha: float) -> float:
 def _inside_unit_interval(alphas: np.ndarray) -> bool:
     """Whether every element lies strictly inside (0, 1) (NaN does not).
     By min and max, not a mask: two reductions cost less than four ufunc
-    calls on the few alphas of a chain's prefetched run."""
+    calls."""
     return not alphas.size or (alphas.min() > 0.0 and alphas.max() < 1.0)
 
 
@@ -206,43 +205,3 @@ def log_likelihood(data: FrequencySample, alpha: float | np.ndarray) -> float | 
     # a stacked row-by-vector product takes one dot per row, as the scalar
     # call's np.dot does; a plain matrix-vector product may sum otherwise
     return (rows[:, None, :] @ data.multiplicities)[:, 0]
-
-
-class LikelihoodStack:
-    """Log-likelihoods of (sample, alpha) pairs over several samples.
-
-    ``stack(owners, alphas)`` returns ``log_likelihood(samples[j], alpha)``
-    for each pair of ``zip(owners, alphas)``, bit for bit; an owner may be
-    asked any number of times.  A single pair takes the scalar call, and a
-    stack of one sample `log_likelihood`'s array call.  Otherwise one array
-    pass takes each entry's term by the scalar call's operations, and each
-    pair's terms are summed by its own ``np.dot``, as the scalar call sums
-    them; asked for every sample once, in order, the pass reads the stacked
-    entries as they are, and otherwise those of a stack of the samples asked.
-    """
-
-    def __init__(self, samples: Sequence[FrequencySample]):
-        self.samples = list(samples)
-        sizes = [len(s.values) for s in self.samples]
-        self.values = np.concatenate([s.values for s in self.samples])
-        self.owner = np.repeat(np.arange(len(sizes)), sizes)
-        ends = np.cumsum(sizes).tolist()
-        self.parts = [
-            (s.multiplicities, slice(end - size, end))
-            for s, size, end in zip(self.samples, sizes, ends)
-        ]
-        self.everyone = list(range(len(sizes)))
-
-    def __call__(self, owners: Sequence[int], alphas: Sequence[float]) -> list[float]:
-        if len(alphas) == 1:
-            return [log_likelihood(self.samples[owners[0]], alphas[0])]
-        if len(self.samples) == 1:
-            return log_likelihood(self.samples[0], np.array(alphas)).tolist()
-        if owners != self.everyone:
-            asked = LikelihoodStack([self.samples[j] for j in owners])
-            return asked(asked.everyone, alphas)
-        c_list = [1.0 / (1.0 - alpha) for alpha in alphas]
-        c = np.array(c_list)
-        head = np.array([math.log(x) for x in c_list]) + gammaln(c + 1.0)
-        terms = head[self.owner] + log_gamma_ratio(self.values, (c + 1.0)[self.owner])
-        return [float(np.dot(mult, terms[part])) for mult, part in self.parts]

@@ -38,4 +38,4 @@ class DataFormatError(ValueError):
 
 
 class TuningWarning(UserWarning):
-    """An MCMC chain mixed poorly (acceptance rate outside (0.05, 0.95))."""
+    """An MCMC chain mixed poorly (acceptance rate below 0.5)."""

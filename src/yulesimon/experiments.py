@@ -4,19 +4,13 @@ case studies.
 
 The K replicates of a study, whatever its prior, are dealt to
 min(workers, ceil(K / _CHAINS_PER_SHARD)) shards; one shard runs in this
-process, more run one per pool process.  In a shard, grid-prior replicates
-run one after another, and Jeffreys replicates run as batches of chains
-(`sample_posterior_continuous` given sequences): each round evaluates the
-whole batch's proposals together, with one array prior call and one
-`LikelihoodStack` call over (sample, alpha) pairs.  Nine or more live
-chains take one proposal each per round; fewer take predicted runs.
+process, more run one per pool process.  A shard fits its replicates one
+after another, each by one call of its prior's sampler.
 
 Reproducibility contract: every (alpha index, replicate index) pair derives
 its data and chain seeds from the master seed through a SeedSequence spawn
-key, and a chain run in a batch equals, draw for draw, the chain of a
-single call with the same seed: its own PCG64 stream, and prior and
-likelihood values bit for bit the scalar calls'.  So results are
-bit-identical whatever the worker count, the shards and the batches;
+key, and each fit depends only on its data, its prior and its seed.  So
+results are bit-identical whatever the worker count and the shards;
 aggregation is an ordered reduction over (alpha, replicate).
 """
 
@@ -26,7 +20,6 @@ import concurrent.futures
 import csv
 import os
 from dataclasses import dataclass, replace
-from typing import Sequence
 
 import numpy as np
 
@@ -132,32 +125,15 @@ class StudyResult:
 
 
 # Replicates per shard: a study of K replicates runs in
-# min(workers, ceil(K / 10)) shards.  Timed in one process at n = 30 on a
-# 2-CPU machine when this size was chosen, a round of one proposal per chain
-# cost about 41 us plus 4.3 us per chain, and a single chain 21 us per
-# iteration (at its acceptance, 0.7-0.8 at n = 30, most predicted runs are
-# too short for an array call, so it steps one proposal at a time; so does
-# a shard while any of its chains does).  The per-replicate pool that shards
-# replace (chunksize 4) ran four single chains back to back per task,
-# 84 us per iteration, so shards of at most 10 chains (84 us) keep a study
-# of 4 or more replicates no slower per iteration than that pool on any
-# number of cores; 24-chain shards (144 us) would not.  With fewer
-# workers than ceil(K / 10), each shard holds K / workers chains at a
-# fraction of their single-chain cost.  A second shard pays for its pool
-# (about 12 ms to start, fork and collect) from 10 chains at 600 iterations:
-# halving a 10-chain shard saves 21 us per iteration.  The comparison
-# across cores rests on this model: on that machine two busy processes
-# each ran at half speed, so parallel runs could not be timed.  Grid-prior
-# replicates take the same shards: a 10,000-iteration task (M = 10, n = 30)
-# costs about 0.9 ms, 0.37 ms at 600 iterations (medians of 360 tasks in
-# one process on that machine), so a 10-task shard takes 4-9 ms, less
-# than a second shard's pool costs to start.
+# min(workers, ceil(K / 10)) shards.  A second shard pays for its pool
+# (about 12 ms to start, fork and collect) once it takes more than that off
+# the first.  Timed in one process on a shared 2-CPU host, medians of 7
+# calls: a Jeffreys replicate at n = 30 and 600 iterations costs about
+# 5.4 ms (1.1-1.5 ms of it the proposal's scan and nodes), so 9 replicates
+# take 49 ms in one process and half of 10 take 27 ms; a grid-prior
+# replicate (M = 10, n = 30) costs 0.37 ms at 600 iterations and 0.9 ms at
+# 10,000.
 _CHAINS_PER_SHARD = 10
-# Chains per batch: a batch holds 24 bytes per chain-iteration
-# (steps, uniforms and the state trace), so 256 chains of 10,000
-# iterations take 61 MB; past about 60 chains the cost per chain-iteration
-# no longer falls, so larger batches would gain nothing.
-_MAX_BATCH = 256
 
 
 def default_grid(m: int) -> tuple[float, ...]:
@@ -199,24 +175,9 @@ def _run_task(args) -> tuple[int, int, PosteriorSummary | None]:
 
 
 def _run_shard(tasks) -> list[tuple[int, int, PosteriorSummary | None]]:
-    """Replicates (tasks as for `_run_task`, all with one prior): grid-prior
-    ones one after another, Jeffreys ones as chain batches of at most
-    _MAX_BATCH.  A fit that raised ``NumericError`` gives None."""
-    if isinstance(tasks[0][-1], GridPrior):
-        return [_run_task(task) for task in tasks]
-    out = []
-    for b0 in range(0, len(tasks), _MAX_BATCH):
-        batch = tasks[b0 : b0 + _MAX_BATCH]
-        samples, cfgs = [], []
-        for alpha_idx, rep_idx, alpha_true, n, master_seed, mcmc, prior in batch:
-            data_seed, chain_seed = _replicate_seeds(master_seed, alpha_idx, rep_idx)
-            samples.append(FrequencySample.from_observations(sample(alpha_true, n, data_seed)))
-            cfgs.append(replace(mcmc, seed=chain_seed))
-        chains = sample_posterior_continuous(samples, prior, cfgs)
-        for (alpha_idx, rep_idx, *_), chain in zip(batch, chains):
-            summary = None if isinstance(chain, NumericError) else summarize(chain)
-            out.append((alpha_idx, rep_idx, summary))
-    return out
+    """Replicates (tasks as for `_run_task`) one after another; a fit that
+    raised ``NumericError`` gives None."""
+    return [_run_task(task) for task in tasks]
 
 
 def _build_prior(spec: PriorSpec):
@@ -240,9 +201,8 @@ def run_coverage_study(cfg: StudyConfig, workers: int | None = None) -> StudyRes
     processes used, not a count, for either prior.  K replicates run in
     min(workers, ceil(K / _CHAINS_PER_SHARD)) shards, so a study of fewer
     than _CHAINS_PER_SHARD + 1 replicates runs in this process and forks
-    nothing.  A shard runs grid-prior replicates one after another and
-    Jeffreys replicates as chain batches.  The output does not
-    depend on the worker count (see the module docstring).
+    nothing.  The output does not depend on the worker count (see the
+    module docstring).
     """
     prior = _build_prior(cfg.prior_spec)
     tasks = [

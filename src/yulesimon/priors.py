@@ -169,7 +169,8 @@ def jeffreys_log_unnormalized_array(
     `jeffreys_log_unnormalized`'s, bit for bit.
 
     The 3F2 series is summed for all of them in one array pass: about
-    22 us per call plus 3 us per alpha, where a scalar call takes 15 us.
+    5 us per alpha at the 17 to 256 alphas a Jeffreys fit asks for at
+    once (1.2-1.3 ms at 256), where a scalar call takes about 19 us.
     An alpha that the first head does not certify, or whose radicand is
     not positive, goes through the scalar call, which grows the head or
     raises; so does every alpha when ``ctrl.max_terms`` is below the first

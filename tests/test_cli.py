@@ -39,16 +39,18 @@ def test_sample_writes_draws(tmp_path):
     assert all(int(k) >= 1 for k in lines[1:])
 
 
-@pytest.mark.filterwarnings("ignore::yulesimon.TuningWarning")
 def test_wide_jeffreys_proposals_stay_inside_unit_interval(tmp_path):
-    # Steps this wide propose logits past 36.7, where alpha rounds to 1.0;
-    # such proposals must be rejected, not fail the run as a data error.
+    # A single observation of 1 leaves a posterior whose right tail falls
+    # only as e^(-x/2) in the logit x, to the end of the sampler's range at
+    # x = 30; the proposals across it must give draws inside (0, 1), with
+    # no warning.
+    table = tmp_path / "one.csv"
+    table.write_text("k,count\n1,1\n", encoding="utf-8")
     chain = tmp_path / "chain.csv"
     code = cli.main(
         [
-            "fit", "--data", "hits", "--prior", "jeffreys", "--seed", "0",
-            "--iters", "2000", "--burnin", "100", "--proposal-scale", "40",
-            "--out-chain", str(chain),
+            "fit", "--data", str(table), "--mode", "hits", "--prior", "jeffreys",
+            "--seed", "0", "--iters", "2000", "--burnin", "100", "--out-chain", str(chain),
         ]
     )
     assert code == 0
@@ -60,8 +62,9 @@ def test_wide_jeffreys_proposals_stay_inside_unit_interval(tmp_path):
     [
         ["fit", "--data", "hits", "--prior", "loss", "--seed", "0", "--no-such-flag"],
         ["fit", "--data", "hits", "--prior", "loss"],
+        ["fit", "--data", "hits", "--prior", "jeffreys", "--seed", "0", "--proposal-scale", "0.5"],
     ],
-    ids=["unknown-flag", "missing-seed"],
+    ids=["unknown-flag", "missing-seed", "proposal-scale"],
 )
 def test_usage_errors_exit_1(argv, capsys):
     assert cli.main(argv) == 1
@@ -229,18 +232,19 @@ def test_transform_returns_bytes(tmp_path):
 
 
 # `ys simulate --prior jeffreys --m 10 --n 30 --reps 1 --iters 600 --burnin 100
-# --seed 20160419`, as written when each replicate ran its own chain.
+# --seed 20160419`, as written when Jeffreys fits became independence
+# Metropolis-Hastings chains from a tabulated proposal.
 JEFFREYS_STUDY_CSV = """\
 alpha,coverage,rel_rmse_mean,rel_rmse_median,failures
-0.10000000000000001,1,0.49846170080832808,0.43897656653074241,0
-0.20000000000000001,1,1.492873779475606,1.580156126178401,0
-0.29999999999999999,1,0.26056544374570001,0.29329315267393846,0
-0.40000000000000002,0,0.6290572388536505,0.67279847582787999,0
-0.5,1,0.11712443135690587,0.074008405662919996,0
-0.59999999999999998,0,0.3935806131421673,0.41061855145472359,0
-0.69999999999999996,1,0.18978541206558336,0.18182378558035586,0
-0.80000000000000004,1,0.14027003883286301,0.15604757478107203,0
-0.90000000000000002,1,0.010596289897821675,0.0057117271149419325,0
+0.10000000000000001,1,0.6333496821664325,0.41009319755826307,0
+0.20000000000000001,1,1.4818450873727542,1.5760372155541931,0
+0.29999999999999999,1,0.27974266694524264,0.28508379947027801,0
+0.40000000000000002,0,0.67060082448339353,0.71044716678615361,0
+0.5,1,0.075692163524086031,0.034013430083828844,0
+0.59999999999999998,0,0.38077107095088514,0.40280876946710437,0
+0.69999999999999996,1,0.17186936012260784,0.16107769034484584,0
+0.80000000000000004,1,0.14255543918633568,0.15778212031606648,0
+0.90000000000000002,1,0.011112352329189439,0.0009176709556663671,0
 """
 
 
@@ -287,17 +291,17 @@ def _sha256(path):
 
 
 # sha256 of the chain CSV and the summary JSON of `ys fit --prior jeffreys`,
-# as written when the chain evaluated one proposal at a time: on the hits
-# data (acceptance 0.85), and on a hits-mode table of ys.sample(0.8, 5000,
-# seed=3) (acceptance 0.10).
+# as written when Jeffreys fits became independence Metropolis-Hastings
+# chains from a tabulated proposal: on the hits data (acceptance 0.999), and
+# on a hits-mode table of ys.sample(0.8, 5000, seed=3) (acceptance 1.0).
 JEFFREYS_FIT_SHA256 = {
     "hits": (
-        "789013a72ef3542ac84bb3dda4e4bb4afb119989b04875e17aab31f8d6fbc9b7",
-        "6a1c5221749292e9e59de710980206514dd9084d6ef67a28694deac36a3178ad",
+        "958dac00d09b4666d8478f21357c511be6a1355571b4290525d1b9c0de92533e",
+        "c1b63c7e2f6ec904b1f95e4b2ca3b2853e5213a164ad1fbe53a68f1fecfa5086",
     ),
     "light-tail": (
-        "d521fd0e7eb462e08e231002cf1bf60d59350297a4f9d810c6f134fb615cd657",
-        "d6aac4303fe954121f9fff3882faac655c3dd079c047d09948fa07bd7df5f1ca",
+        "6fa3c142b029989ecfaa4a0bf4d5ac87df097f84d0fa59afed18fd07fd1755b5",
+        "79c3ccd8f3af264cc1ebe1eefdcadd71ad20b834efa8b70944b6d390f3af16ad",
     ),
 }
 

@@ -7,7 +7,6 @@ from scipy.stats import chisquare
 
 import yulesimon as ys
 from yulesimon import FrequencySample, YuleSimonModel
-from yulesimon.distribution import LikelihoodStack
 
 # mpmath goldens (40 digits)
 LOG_PMF_SMITH = -44.509450086756638711  # ln f(2502021; 0.53), Smith-scale count
@@ -207,31 +206,6 @@ class TestGridLogLikelihood:
     def test_domain_errors(self, hits, alphas):
         with pytest.raises(ValueError):
             ys.log_likelihood(hits, np.array(alphas))
-
-
-class TestLikelihoodStack:
-    """Several samples' log-likelihoods, each at its own alpha, from one pass."""
-
-    def test_bitwise_equal_to_scalar_calls(self, hits):
-        samples = [hits, *_grid_samples().values()] + [
-            FrequencySample.from_observations(ys.sample(a, 30, seed=i))
-            for i, a in enumerate((0.1, 0.5, 0.9))
-        ]
-        k = len(samples)
-        cases = [
-            (samples, list(range(k))),  # every sample once, in order
-            (samples, [0, 2, 2, k - 1, 0, 1]),  # repeated owners
-            (samples, [1, 3]),  # a subset
-            (samples, list(range(k))[::-1]),  # reverse order
-            (samples, [k - 1]),  # a single pair
-        ] + [([data], [0] * 33) for data in samples]  # one sample at many alphas
-        rng = np.random.default_rng(9)
-        for stacked, owners in cases:
-            stack = LikelihoodStack(stacked)
-            for _ in range(20):
-                alphas = rng.uniform(1e-6, 1.0 - 1e-9, len(owners)).tolist()
-                expected = [ys.log_likelihood(stacked[j], a) for j, a in zip(owners, alphas)]
-                assert stack(owners, alphas) == expected
 
 
 class TestTailExpectationIdentity:

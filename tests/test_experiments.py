@@ -123,14 +123,12 @@ class TestJeffreysShards:
         assert pools == [2, 2]
 
     def test_failing_chains_count_per_alpha(self, monkeypatch):
+        # The window scan asks for alphas across (0, 1); the calls that ask
+        # only for alphas above 0.85 are those of a fit whose posterior lies
+        # there, at alpha = 0.95 and not at 0.2.
         class FailsAbove(ys.JeffreysPrior):
-            def log_unnormalized(self, alpha):
-                if alpha > 0.85:
-                    raise ys.SeriesConvergenceError("forced", estimate=None)
-                return super().log_unnormalized(alpha)
-
             def log_unnormalized_array(self, alphas):
-                if np.any(alphas > 0.85):
+                if alphas.min() > 0.85:
                     raise ys.SeriesConvergenceError("forced", estimate=None)
                 return super().log_unnormalized_array(alphas)
 

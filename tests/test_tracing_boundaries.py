@@ -19,3 +19,23 @@ from perfbench.tracing import BOUNDARIES  # noqa: E402
 def test_boundary_attribute_is_callable(module_name, attr, layer):
     module = importlib.import_module(module_name)
     assert callable(getattr(module, attr, None)), f"{module_name}.{attr} is gone"
+
+
+def test_jeffreys_fit_reaches_the_traced_likelihood(tmp_path, monkeypatch):
+    # The tracer's likelihood boundary is `yulesimon.inference.log_likelihood`:
+    # a Jeffreys fit must look that name up for every chunk of proposals.
+    from yulesimon import cli, inference
+
+    likelihood = inference.log_likelihood
+    calls = []
+
+    def counted(data, alpha):
+        calls.append(alpha)
+        return likelihood(data, alpha)
+
+    monkeypatch.setattr(inference, "log_likelihood", counted)
+    iterations = 2_000
+    argv = ["fit", "--data", "hits", "--prior", "jeffreys", "--seed", "1"]
+    argv += ["--iters", str(iterations), "--burnin", "500", "--out-summary", str(tmp_path / "s.json")]
+    assert cli.main(argv) == 0
+    assert len(calls) >= -(-iterations // inference._CHUNK)
