@@ -63,7 +63,6 @@ from .priors import (
     fisher_information,
     fisher_information_oracle,
     jeffreys_log_unnormalized,
-    jeffreys_log_unnormalized_array,
     jeffreys_normalizer,
     jeffreys_unnormalized,
     kl_divergence,
@@ -130,7 +129,6 @@ __all__ = [
     "fisher_information",
     "fisher_information_oracle",
     "jeffreys_log_unnormalized",
-    "jeffreys_log_unnormalized_array",
     "jeffreys_normalizer",
     "jeffreys_unnormalized",
     "kl_divergence",

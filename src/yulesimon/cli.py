@@ -162,7 +162,7 @@ def _cmd_prior(args) -> int:
     prior = JeffreysPrior()
     normalizer = prior.normalizer()
     grid = np.arange(1, args.grid_points + 1) / (args.grid_points + 1)
-    rows = ((alpha, prior.unnormalized(alpha)) for alpha in grid.tolist())
+    rows = zip(grid.tolist(), prior.unnormalized(grid).tolist())
     _write_csv(
         args.out,
         "alpha,unnormalized,density",

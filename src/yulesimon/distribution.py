@@ -151,7 +151,11 @@ def survival(j: int, alpha: float) -> float:
     j = _check_k(j)
     alpha = _check_alpha(alpha)
     c = 1.0 / (1.0 - alpha)
-    return float(math.exp(gammaln(c + 1.0) + log_gamma_ratio(float(j), c)))
+    if c + 1.0 < max(1e4, 1000.0 * (j - 1)):
+        return float(math.exp(gammaln(c + 1.0) + log_gamma_ratio(float(j), c)))
+    # G(j) G(c+1) / G(c+1+(j-1)): ln G(c+1) and the ratio above cancel as c
+    # grows, and this ratio takes its Stirling branch
+    return float(math.exp(gammaln(j) + log_gamma_ratio(c + 1.0, j - 1.0)))
 
 
 def mean(alpha: float) -> float:

@@ -152,9 +152,10 @@ def _log_targets(
     data: FrequencySample, prior: JeffreysPrior, xs: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """The log-targets ln L + ln q + ln alpha + ln(1 - alpha) at logits
-    ``xs`` (at most _CHUNK of them) and their alphas, from one array prior
-    call and one array likelihood call.  A log-target is -inf where alpha
-    is not strictly inside (0, 1) in floating point."""
+    ``xs`` (at most _CHUNK of them) and their alphas, from one call of
+    ``prior.log_unnormalized`` and one of `log_likelihood`, each at the
+    array of alphas.  A log-target is -inf where alpha is not strictly
+    inside (0, 1) in floating point."""
     with np.errstate(over="ignore"):
         alphas = 1.0 / (1.0 + np.exp(-xs))
         complements = 1.0 / (1.0 + np.exp(xs))  # 1 - alpha without rounding loss
@@ -164,7 +165,7 @@ def _log_targets(
     if len(asked):
         lps[inside] = (
             log_likelihood(data, asked)
-            + prior.log_unnormalized_array(asked)
+            + prior.log_unnormalized(asked)
             + np.log(asked)
             + np.log(complements[inside])
         )

@@ -11,8 +11,9 @@ is load-bearing for the prior construction.  The series is summed over a
 128-term head and closed by Euler-Maclaurin with a Gauss-Laguerre tail
 integral, under a remainder bound; for the Jeffreys family the first head
 always meets the default tolerance, so a call costs the same tens of
-microseconds at every alpha.  `_excess_estimate_array` takes that first
-head over arrays of (a, b).
+microseconds at every alpha.  One closure, `_excess_estimate`, serves every
+head over arrays of (a, b): `hyp3f2_unit_excess` calls it with one element,
+and the Jeffreys prior with a whole array of alphas.
 
 All functions are pure; safe to call concurrently from any number of
 threads.
@@ -108,8 +109,6 @@ _HEAD = 128
 # block, so its memory does not grow with it.  The first head is one block.
 _HEAD_BLOCK = 4096
 _BLOCK_M = np.arange(_HEAD_BLOCK, dtype=np.float64)
-# m and m + 1 over the first head (integers, so m + 1.0 rounds to these)
-_HEAD_M, _HEAD_M1 = _BLOCK_M[:_HEAD], _BLOCK_M[1 : _HEAD + 1]
 
 # 16-point Gauss-Laguerre rule for the tail integral, with a node at x = 0
 # (weight 0) prepended so that the same evaluation gives h at the boundary.
@@ -147,34 +146,60 @@ def _head_sum(
 
 
 def _excess_estimate(
-    a: float, b: float, head: int, head_sum: float | None = None
-) -> tuple[float, float]:
-    """The excess summed to l = head (or given that sum) and closed by
-    Euler-Maclaurin from A = head + 1; returns it with the remainder
-    estimate |h'''(A)|/720."""
-    if head_sum is None:
-        head_sum = _head_sum(a, b, head)[0]
+    a: np.ndarray, b: np.ndarray, head: int, head_sum: list[float] | np.ndarray | None = None
+) -> tuple[list[float], list[float]]:
+    """The excess at each (a, b) of two 1-d arrays in the series' domain,
+    summed to l = ``head`` (or given those sums) and closed from A = head + 1.
+
+    The terms continue to real t as
+    h(t) = G(t+1) G(t+a) G(b)^2 / (G(a) G(t+b)^2), and by Euler-Maclaurin
+
+        sum_{l>=A} h(l) = int_A^inf h + h(A)/2 - h'(A)/12 + h'''(A)/720 + R.
+
+    The integral is a 16-point Gauss-Laguerre rule in x = r ln(t/A), where
+    t h(t) falls like t^-r with r = 2b - a - 2; the derivatives of ln h are
+    sums of psi, zeta(2, .) and zeta(3, .).  Returns the list of the
+    excesses and the list of their remainder estimates |h'''(A)|/720;
+    certifying them is the caller's part.
+
+    Each value is the one-element call's bit for bit: the ln h and tail
+    contractions are stacked matmuls (one small dot per row), and the last
+    operations run per element in Python floats, which round as numpy's do
+    and, up to a few dozen elements, cost less than the array operations
+    they replace.
+    """
+    if head_sum is None:  # as _head_sum sums one block
+        bm = _BLOCK_M[:head] + b[:, None]
+        bm *= bm
+        ratios = _BLOCK_M[:head] + a[:, None]
+        ratios *= _BLOCK_M[1 : head + 1]
+        ratios /= bm
+        head_sum = ratios.cumprod(axis=1).sum(axis=1)
 
     # Under t = A e^(x/r) the tail integral is (1/r) times the integral of
     # e^-x [e^x t h(t)] over (0, inf), and the bracket tends to a constant.
     big_a = head + 1.0
     r = 2.0 * b - a - 2.0
-    t = big_a * np.exp(_TAIL_X / r)
-    shifts = np.array([1.0, a, b])
-    log_norm = 2.0 * math.lgamma(b) - math.lgamma(a)
+    t = big_a * np.exp(_TAIL_X / r[:, None])
+    shifts = np.empty((len(a), 1, 3))
+    shifts[:, 0, 0], shifts[:, 0, 1], shifts[:, 0, 2] = 1.0, a, b
+    pairs = zip(a.tolist(), b.tolist())
+    log_norm = np.array([2.0 * math.lgamma(y) - math.lgamma(x) for x, y in pairs])
     if head <= _HEAD:
         # Plain gammaln differences: their rounding grows like t ln(t) eps,
         # but the Laguerre weight of a node falls faster (as e^-x against
         # e^(x/r), r >= 2), so no node's error reaches 1e-13 of the tail
         # integral.  The Stirling branch of log_gamma_ratio would double the
         # cost of a call.
-        log_h = scipy.special.gammaln(t[:, None] + shifts) @ _LOG_H_SIGNS
+        log_h = scipy.special.gammaln(t[:, :, None] + shifts) @ _LOG_H_SIGNS
     else:
         # A grown head puts the last nodes near t = 1e16, where the plain
         # differences keep no digit at all.
-        log_h = log_gamma_ratio(t + 1.0, b - 1.0) + log_gamma_ratio(t + a, b - a)
-    h = np.exp(log_h + log_norm)
-    tail_int = float(_TAIL_W @ (t * h)) / r
+        log_h = log_gamma_ratio(t + 1.0, b[:, None] - 1.0)
+        log_h += log_gamma_ratio(t + a[:, None], (b - a)[:, None])
+    log_h += log_norm[:, None]
+    h = np.exp(log_h)
+    r_tail = ((t * h)[:, None, :] @ _TAIL_W)[:, 0]  # r times the tail integral
 
     # derivatives of ln h at A, from psi, psi' = zeta(2, .), psi'' = -2 zeta(3, .),
     # each a contraction with _LOG_H_SIGNS summed left to right, as a dot
@@ -184,70 +209,19 @@ def _excess_estimate(
     else:
         p1 = float(scipy.special.psi(big_a + 1.0))
         z2_1, z3_1 = scipy.special.zeta(_ZETA_ORDERS[:, 0], big_a + 1.0).tolist()
-    x = big_a + shifts[1:]
-    pa, pb = scipy.special.psi(x).tolist()
-    (z2a, z2b), (z3a, z3b) = scipy.special.zeta(_ZETA_ORDERS, x).tolist()
-    d1 = p1 + pa + -2.0 * pb
-    d2 = z2_1 + z2a + -2.0 * z2b
-    d3 = -2.0 * (z3_1 + z3a + -2.0 * z3b)
-    h_a = float(h[0])
-    h1_a = h_a * d1
-    h3_a = h_a * (d1 * d1 * d1 + 3.0 * d1 * d2 + d3)
-    f1 = head_sum + tail_int + 0.5 * h_a - h1_a / 12.0 + h3_a / 720.0
-    return f1, abs(h3_a) / 720.0
-
-
-def _excess_estimate_array(a: np.ndarray, b: np.ndarray) -> tuple[list[float], list[float]]:
-    """`_excess_estimate` over the first head at each (a, b) of two 1-d
-    arrays in the series' domain, in one array pass: the same 128-term
-    head, Gauss-Laguerre tail and |h'''(A)|/720 bound.  Returns the list of
-    the excesses and the list of their bounds; certifying them is the
-    caller's part.
-
-    Each value is the scalar call's bit for bit, being taken by its
-    operations in its order: rows of the head summed by numpy's pairwise
-    sum, the ln h and tail contractions as stacked matmuls (one small dot
-    per row, as the scalar call's ``@``), ln G(a), ln G(b) by
-    ``math.lgamma``, and the closure's last operations per element in
-    Python floats, which round as numpy's do and, up to a few dozen
-    elements, cost less than the dozen array operations they replace.
-    The derivatives of ln h are among those last operations, their part
-    that does not depend on (a, b) taken once at import.  About 3 us per element plus 19 us per
-    call, where a scalar call takes 15 us.
-    """
-    bm = _HEAD_M + b[:, None]
-    bm *= bm
-    ratios = _HEAD_M + a[:, None]
-    ratios *= _HEAD_M1
-    ratios /= bm
-    head_sum = ratios.cumprod(axis=1).sum(axis=1)
-
-    big_a = _HEAD + 1.0
-    r = 2.0 * b - a - 2.0
-    t = big_a * np.exp(_TAIL_X / r[:, None])
-    shifts = np.empty((len(a), 1, 3))
-    shifts[:, 0, 0], shifts[:, 0, 1], shifts[:, 0, 2] = 1.0, a, b
-    pairs = zip(a.tolist(), b.tolist())
-    log_norm = np.array([2.0 * math.lgamma(y) - math.lgamma(x) for x, y in pairs])
-    log_h = scipy.special.gammaln(t[:, :, None] + shifts) @ _LOG_H_SIGNS
-    log_h += log_norm[:, None]
-    h = np.exp(log_h)
-    r_tail = ((t * h)[:, None, :] @ _TAIL_W)[:, 0]  # r times the tail integral
-
     x = big_a + shifts[:, :, 1:]
     psi = scipy.special.psi(x)[:, 0]
     zeta = scipy.special.zeta(_ZETA_ORDERS, x)
     excesses, bounds = [], []
-    columns = (head_sum, r_tail, r, h[:, 0], psi, zeta)
+    columns = (np.asarray(head_sum), r_tail, r, h[:, 0], psi, zeta)
     for s, r_tail_i, r_i, h_a, (pa, pb), ((z2a, z2b), (z3a, z3b)) in zip(
         *(col.tolist() for col in columns)
     ):
-        # as in _excess_estimate
-        g1 = _PSI_A1 + pa + -2.0 * pb
-        g2 = _ZETA2_A1 + z2a + -2.0 * z2b
-        g3 = _ZETA3_A1 + z3a + -2.0 * z3b
-        h3_a = h_a * (g1 * g1 * g1 + 3.0 * g1 * g2 + -2.0 * g3)
-        excesses.append(s + r_tail_i / r_i + 0.5 * h_a - h_a * g1 / 12.0 + h3_a / 720.0)
+        d1 = p1 + pa + -2.0 * pb
+        d2 = z2_1 + z2a + -2.0 * z2b
+        d3 = -2.0 * (z3_1 + z3a + -2.0 * z3b)
+        h3_a = h_a * (d1 * d1 * d1 + 3.0 * d1 * d2 + d3)
+        excesses.append(s + r_tail_i / r_i + 0.5 * h_a - h_a * d1 / 12.0 + h3_a / 720.0)
         bounds.append(abs(h3_a) / 720.0)
     return excesses, bounds
 
@@ -264,16 +238,8 @@ def hyp3f2_unit_excess(a: float, b: float, ctrl: SeriesControl = SeriesControl()
     in blocks of 4,096 terms that carry the running term, so no term is
     summed twice and the memory stays flat.
 
-    Closure: the terms continue to real t as
-    h(t) = G(t+1) G(t+a) G(b)^2 / (G(a) G(t+b)^2), and the rest of the
-    series is closed from A = head + 1 by Euler-Maclaurin,
-
-        sum_{l>=A} h(l) = int_A^inf h + h(A)/2 - h'(A)/12 + h'''(A)/720 + R.
-
-    The integral is a 16-point Gauss-Laguerre rule in x = r ln(t/A), where
-    t h(t) falls like t^-r with r = 2b - a - 2; the derivatives of ln h are
-    sums of psi, zeta(2, .) and zeta(3, .).  On a grown head the last nodes
-    reach t = 1e16, so ln h is taken there from log_gamma_ratio.
+    Closure: Euler-Maclaurin from A = head + 1 with a Gauss-Laguerre tail
+    integral, by `_excess_estimate` (which takes arrays) at the one pair (a, b).
 
     Bound: the result is returned when |h'''(A)|/720, the size of the last
     closure term, is at most ctrl.rel_tol * (1 + excess); otherwise the head
@@ -282,8 +248,8 @@ def hyp3f2_unit_excess(a: float, b: float, ctrl: SeriesControl = SeriesControl()
     even at that rate is refused at once.
 
     Cost: the 128-term head meets rel_tol = 1e-12 on the whole b = a + 1 >= 3
-    family the package uses, so a call costs the same (tens of microseconds)
-    at every alpha, and the excess is within a few ulps of 40-digit sums.
+    family the package uses, so a call costs the same (about 27 us) at every
+    alpha, and the excess is within a few ulps of 40-digit sums.
 
     Raises
     ------
@@ -303,9 +269,10 @@ def hyp3f2_unit_excess(a: float, b: float, ctrl: SeriesControl = SeriesControl()
         raise ValueError(f"series requires b > a for convergence, got a={a}, b={b}")
     if 2.0 * b - a - 2.0 < 2.0:
         raise ValueError(f"tail closure requires 2b - a >= 4, got a={a}, b={b}")
+    pair = np.array([a]), np.array([b])
     head = min(_HEAD, ctrl.max_terms)
     head_sum, term = _head_sum(a, b, head)
-    f1, bound = _excess_estimate(a, b, head, head_sum)
+    (f1,), (bound,) = _excess_estimate(*pair, head, [head_sum])
     while not (head >= _HEAD and bound <= ctrl.rel_tol * (1.0 + f1)):
         # the bound falls like A^-(r+4) at best: the least any head up to
         # the cap can reach
@@ -320,7 +287,7 @@ def hyp3f2_unit_excess(a: float, b: float, ctrl: SeriesControl = SeriesControl()
         grown = min(4 * head, ctrl.max_terms)
         head_sum, term = _head_sum(a, b, grown, head, head_sum, term)
         head = grown
-        f1, bound = _excess_estimate(a, b, head, head_sum)
+        (f1,), (bound,) = _excess_estimate(*pair, head, [head_sum])
     return f1
 
 

@@ -211,6 +211,18 @@ def test_jeffreys_prior_bytes(tmp_path):
     assert written == ("alpha,unnormalized,density\n" + "".join(lines)).encode("utf-8")
 
 
+# sha256 of `ys prior --kind jeffreys` (201 grid points), as written when q
+# was tabulated by one float call per grid point
+JEFFREYS_PRIOR_SHA256 = "376d2beedd8ba66017b5ea92bfa2f15e201d0e0df63dc4cf3ea6ffa6a701975d"
+
+
+def test_jeffreys_prior_sha256(tmp_path):
+    import hashlib
+
+    written = _run_and_read(tmp_path, ["prior", "--kind", "jeffreys"])
+    assert hashlib.sha256(written).hexdigest() == JEFFREYS_PRIOR_SHA256
+
+
 def test_transform_returns_bytes(tmp_path):
     import datetime
 

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import gammaln
@@ -102,6 +103,16 @@ class TestSurvival:
             for j in (1, 2, 7, 40):
                 diff = ys.survival(j, alpha) - ys.survival(j + 1, alpha)
                 assert diff == pytest.approx(ys.pmf(j, alpha), abs=1e-12)
+
+    def test_near_one_matches_mpmath(self):
+        # P(K >= j) = c B(j, c) falls to 1/(c+1) at j = 2 as alpha -> 1
+        with mpmath.workdps(50):
+            for x in np.linspace(0.0, 36.0, 37).tolist():
+                alpha = 1.0 / (1.0 + math.exp(-x))
+                c = mpmath.mpf(1.0 / (1.0 - alpha))
+                for j in (2, 3, 10):
+                    exact = float(c * mpmath.beta(j, c))
+                    assert ys.survival(j, alpha) == pytest.approx(exact, rel=1e-9, abs=0), (x, j)
 
     def test_normalization(self):
         # pmf mass up to 1e4 plus the analytic remainder telescopes to 1

@@ -127,10 +127,10 @@ class TestJeffreysShards:
         # only for alphas above 0.85 are those of a fit whose posterior lies
         # there, at alpha = 0.95 and not at 0.2.
         class FailsAbove(ys.JeffreysPrior):
-            def log_unnormalized_array(self, alphas):
-                if alphas.min() > 0.85:
+            def log_unnormalized(self, alpha):
+                if np.min(alpha) > 0.85:
                     raise ys.SeriesConvergenceError("forced", estimate=None)
-                return super().log_unnormalized_array(alphas)
+                return super().log_unnormalized(alpha)
 
         monkeypatch.setattr(experiments, "_build_prior", lambda spec: FailsAbove())
         cfg = small_study(PriorSpec("jeffreys"), alphas=(0.2, 0.95), reps=3, n=500)

@@ -94,8 +94,8 @@ K_MCSE = 4.0
 
 
 class _FailsAbove(ys.JeffreysPrior):
-    """The Jeffreys prior, raising SeriesConvergenceError at alpha > limit
-    in the scalar call and in any array call that asks for one; every alpha
+    """The Jeffreys prior, raising SeriesConvergenceError in a float call at
+    alpha > limit and in any array call that asks for one; every alpha
     asked for is recorded in ``asked``."""
 
     def __init__(self, limit):
@@ -103,16 +103,10 @@ class _FailsAbove(ys.JeffreysPrior):
         self.limit, self.asked = limit, []
 
     def log_unnormalized(self, alpha):
-        self.asked.append(alpha)
-        if alpha > self.limit:
+        self.asked.extend(np.atleast_1d(alpha).tolist())
+        if np.max(alpha) > self.limit:
             raise ys.SeriesConvergenceError(f"forced at {alpha!r}", estimate=None)
         return super().log_unnormalized(alpha)
-
-    def log_unnormalized_array(self, alphas):
-        self.asked.extend(alphas.tolist())
-        if alphas.max() > self.limit:
-            raise ys.SeriesConvergenceError("forced", estimate=None)
-        return super().log_unnormalized_array(alphas)
 
 
 def _scalar_log_target(data, prior, x):
@@ -205,18 +199,18 @@ def _independence_reference(data, prior, cfg, proposal):
 
 
 class _FailsWhereAllAbove(ys.JeffreysPrior):
-    """The Jeffreys prior, raising SeriesConvergenceError in an array call
-    whose alphas all exceed ``limit``: the chunks of a fit whose posterior
+    """The Jeffreys prior, raising SeriesConvergenceError in a call whose
+    alphas all exceed ``limit``: the chunks of a fit whose posterior
     lies above it, not the window scan's calls, which span (0, 1)."""
 
     def __init__(self, limit=0.85):
         super().__init__()
         self.limit = limit
 
-    def log_unnormalized_array(self, alphas):
-        if alphas.min() > self.limit:
+    def log_unnormalized(self, alpha):
+        if np.min(alpha) > self.limit:
             raise ys.SeriesConvergenceError("forced", estimate=None)
-        return super().log_unnormalized_array(alphas)
+        return super().log_unnormalized(alpha)
 
 
 def _mixed_tasks(size, seed, prior):

@@ -149,63 +149,85 @@ class TestJeffreys:
 
 
 class TestJeffreysArray:
+    """The Jeffreys functions at a 1-d array of alphas against one float
+    call per alpha."""
+
     def test_bitwise_equal_to_scalar_calls(self):
         alphas = np.concatenate(
             [np.linspace(1e-4, 1.0 - 1e-4, 2001), [1e-9, 1e-6, 1.0 - 1e-9, 1.0 - 1e-12]]
         )
-        array = ys.jeffreys_log_unnormalized_array(alphas)
+        array = ys.jeffreys_log_unnormalized(alphas)
         scalar = [ys.jeffreys_log_unnormalized(a) for a in alphas.tolist()]
         assert array.tolist() == scalar
-        assert JeffreysPrior().log_unnormalized_array(alphas).tolist() == scalar
+        assert JeffreysPrior().log_unnormalized(alphas).tolist() == scalar
+
+    @pytest.mark.parametrize(
+        "fn", [ys.fisher_information, ys.jeffreys_unnormalized, ys.jeffreys_log_unnormalized]
+    )
+    def test_every_function_takes_an_array(self, fn):
+        alphas = np.concatenate([np.linspace(1e-3, 1.0 - 1e-3, 301), [1e-9, 1.0 - 1e-12]])
+        assert fn(alphas).tolist() == [fn(a) for a in alphas.tolist()]
+        assert fn(np.float64(0.3)) == fn(np.array(0.3)) == fn(0.3)
+        assert fn(np.empty(0)).shape == (0,)
 
     @pytest.mark.parametrize("size", [1, 2, 3, 4, 5])
     def test_short_arrays_match_scalar_calls(self, size):
         alphas = np.linspace(0.05, 0.95, size)
-        assert ys.jeffreys_log_unnormalized_array(alphas).tolist() == [
+        assert ys.jeffreys_log_unnormalized(alphas).tolist() == [
             ys.jeffreys_log_unnormalized(a) for a in alphas.tolist()
         ]
 
     def test_uncertified_alphas_take_the_scalar_path(self, monkeypatch):
         # At rel_tol = 1e-15 the first head certifies some alphas and not
-        # others; those go through the scalar call, which grows the head.
+        # others; those go through hyp3f2_unit_excess, which grows the head.
         ctrl = SeriesControl(rel_tol=1e-15)
         alphas = np.linspace(0.01, 0.99, 50)
         calls = []
-        scalar = priors.jeffreys_log_unnormalized
+        series = priors.hyp3f2_unit_excess
 
-        def spy(alpha, ctrl):
-            calls.append(alpha)
-            return scalar(alpha, ctrl)
+        def spy(a, b, ctrl):
+            calls.append(a)
+            return series(a, b, ctrl)
 
-        monkeypatch.setattr(priors, "jeffreys_log_unnormalized", spy)
-        values = ys.jeffreys_log_unnormalized_array(alphas, ctrl).tolist()
+        expected = [ys.jeffreys_log_unnormalized(a, ctrl) for a in alphas.tolist()]
+        monkeypatch.setattr(priors, "hyp3f2_unit_excess", spy)
+        values = ys.jeffreys_log_unnormalized(alphas, ctrl).tolist()
         assert 0 < len(calls) < len(alphas)
-        assert values == [scalar(a, ctrl) for a in alphas.tolist()]
+        assert values == expected
 
     def test_nonpositive_radicand_takes_the_scalar_path(self, monkeypatch):
-        # a radicand that rounds to <= 0 is left to the scalar call, which
-        # raises when it finds one too; here the scalar series is the real one
-        estimate = priors._excess_estimate_array
+        # a radicand that rounds to <= 0 is left to hyp3f2_unit_excess, and
+        # the float path raises when it finds one too; here that series is
+        # the real one
+        expected = [ys.jeffreys_log_unnormalized(a) for a in (0.2, 0.5, 0.8, 0.9)]
+        estimate = priors._excess_estimate
+        calls = []
+        series = priors.hyp3f2_unit_excess
 
-        def inflate_second(a, b):
-            f1, bound = estimate(a, b)
+        def inflate_second(a, b, head):
+            f1, bound = estimate(a, b, head)
             f1[1] = 10.0
             return f1, bound
 
-        monkeypatch.setattr(priors, "_excess_estimate_array", inflate_second)
+        def spy(a, b, ctrl):
+            calls.append(a)
+            return series(a, b, ctrl)
+
+        monkeypatch.setattr(priors, "_excess_estimate", inflate_second)
+        monkeypatch.setattr(priors, "hyp3f2_unit_excess", spy)
         alphas = np.array([0.2, 0.5, 0.8, 0.9])
-        assert ys.jeffreys_log_unnormalized_array(alphas).tolist() == [
-            ys.jeffreys_log_unnormalized(a) for a in alphas.tolist()
-        ]
+        assert ys.jeffreys_log_unnormalized(alphas).tolist() == expected
+        assert calls == [1.0 / (1.0 - 0.5) + 1.0]
 
     def test_scalar_errors_propagate(self):
+        # a head cap below the first head certifies nothing
         with pytest.raises(ys.SeriesConvergenceError):
-            ys.jeffreys_log_unnormalized_array(np.full(5, 0.5), SeriesControl(max_terms=64))
+            ys.jeffreys_log_unnormalized(np.full(5, 0.5), SeriesControl(max_terms=64))
 
     @pytest.mark.parametrize("alphas", [[0.2, 1.0], [0.0, 0.5], [[0.2, 0.3]]])
     def test_domain_errors(self, alphas):
         with pytest.raises(ValueError):
-            ys.jeffreys_log_unnormalized_array(np.array(alphas))
+            ys.jeffreys_log_unnormalized(np.array(alphas))
 
 
 def _spy_on_kl_heads(monkeypatch):

@@ -17,7 +17,7 @@ from yulesimon import (
     log_gamma_ratio,
 )
 from yulesimon import special
-from yulesimon.special import _HEAD, _excess_estimate, _excess_estimate_array
+from yulesimon.special import _HEAD, _excess_estimate
 
 TIGHT = SeriesControl(rel_tol=1e-12)
 
@@ -195,7 +195,7 @@ class TestHyp3f2:
         # the bound falls like A^-(r+4) at best, so no head up to the cap can
         # meet 1e-60: only the first head is summed, and the error carries
         # its estimate and bound
-        first, bound = _excess_estimate(2.003, 3.003, _HEAD)
+        first, bound = _closure_at(2.003, 3.003, _HEAD)
         calls = _spy_on_head_sums(monkeypatch)
         with pytest.raises(SeriesConvergenceError) as err:
             hyp3f2_unit_excess(2.003, 3.003, SeriesControl(rel_tol=1e-60))
@@ -216,7 +216,7 @@ class TestHyp3f2:
         # the result is that head's estimate bit for bit
         for alpha in np.linspace(1e-4, 1.0 - 1e-4, 2001):
             c = 1.0 / (1.0 - float(alpha))
-            first_head, _ = _excess_estimate(c + 1.0, c + 2.0, _HEAD)
+            first_head, _ = _closure_at(c + 1.0, c + 2.0, _HEAD)
             assert hyp3f2_unit_excess(c + 1.0, c + 2.0) == first_head
 
     def test_grown_head_memory_is_bounded(self):
@@ -236,10 +236,16 @@ class TestHyp3f2:
     @given(st.floats(min_value=1e-4, max_value=0.9999))
     def test_longer_head_agrees_within_bound(self, alpha):
         c = 1.0 / (1.0 - alpha)
-        short, bound = _excess_estimate(c + 1.0, c + 2.0, _HEAD)
-        longer, _ = _excess_estimate(c + 1.0, c + 2.0, 4 * _HEAD)
+        short, bound = _closure_at(c + 1.0, c + 2.0, _HEAD)
+        longer, _ = _closure_at(c + 1.0, c + 2.0, 4 * _HEAD)
         # the remainder estimate plus a few ulps of rounding
         assert abs(short - longer) <= bound + 4.0 * np.finfo(float).eps * (1.0 + longer)
+
+
+def _closure_at(a, b, head):
+    """The series closure's excess and remainder estimate at one (a, b)."""
+    (excess,), (bound,) = _excess_estimate(np.array([a]), np.array([b]), head)
+    return excess, bound
 
 
 def _spy_on_head_sums(monkeypatch):
@@ -278,24 +284,24 @@ def _jeffreys_family(alphas):
 
 
 class TestHyp3f2Array:
-    """The array closure against one scalar call per element."""
+    """The series closure over arrays of (a, b) against one call per element."""
 
     def test_dense_alpha_grid_matches_scalar(self):
         a, b = _jeffreys_family(np.linspace(1e-4, 1.0 - 1e-4, 20_001))
-        array, bounds = _excess_estimate_array(a, b)
+        array, bounds = _excess_estimate(a, b, _HEAD)
         pairs = zip(a.tolist(), b.tolist())
         scalar = np.array([hyp3f2_unit_excess(x, y) for x, y in pairs])
         assert np.max(np.abs(array - scalar) / scalar) <= 4e-16
         # the array pass repeats the scalar call's operations in their order
         np.testing.assert_array_equal(array, scalar)
-        first_heads = [_excess_estimate(x, y, _HEAD) for x, y in zip(a.tolist(), b.tolist())]
+        first_heads = [_closure_at(x, y, _HEAD) for x, y in zip(a.tolist(), b.tolist())]
         assert bounds == [bound for _, bound in first_heads]
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.floats(min_value=1e-9, max_value=1.0 - 1e-12), min_size=1, max_size=40))
     def test_elements_match_scalar_calls(self, alphas):
         a, b = _jeffreys_family(alphas)
-        array, _ = _excess_estimate_array(a, b)
+        array, _ = _excess_estimate(a, b, _HEAD)
         for x, y, value in zip(a.tolist(), b.tolist(), array):
             scalar = hyp3f2_unit_excess(x, y)
             assert abs(value - scalar) <= 4e-16 * scalar
@@ -303,9 +309,17 @@ class TestHyp3f2Array:
 
     def test_value_does_not_depend_on_the_other_elements(self):
         a, b = _jeffreys_family(np.random.default_rng(4).uniform(1e-3, 0.999, 60))
-        whole, _ = _excess_estimate_array(a, b)
+        whole, _ = _excess_estimate(a, b, _HEAD)
         for i in (0, 17, 59):
-            assert _excess_estimate_array(a[i : i + 1], b[i : i + 1])[0][0] == whole[i]
+            assert _excess_estimate(a[i : i + 1], b[i : i + 1], _HEAD)[0][0] == whole[i]
+
+    def test_grown_head_elements_match_one_element_calls(self):
+        # past the first head ln h comes from log_gamma_ratio, with each
+        # element's b - 1 and b - a
+        a, b = _jeffreys_family(np.random.default_rng(5).uniform(1e-3, 0.999, 30))
+        excesses, bounds = _excess_estimate(a, b, 16 * _HEAD)
+        for x, y, excess, bound in zip(a.tolist(), b.tolist(), excesses, bounds):
+            assert _closure_at(x, y, 16 * _HEAD) == (excess, bound)
 
 
 class TestLogGammaRatio:

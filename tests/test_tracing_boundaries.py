@@ -39,3 +39,23 @@ def test_jeffreys_fit_reaches_the_traced_likelihood(tmp_path, monkeypatch):
     argv += ["--iters", str(iterations), "--burnin", "500", "--out-summary", str(tmp_path / "s.json")]
     assert cli.main(argv) == 0
     assert len(calls) >= -(-iterations // inference._CHUNK)
+
+
+def test_jeffreys_fit_reaches_the_traced_prior(tmp_path, monkeypatch):
+    # The tracer's prior boundary is `yulesimon.priors.jeffreys_log_unnormalized`:
+    # a Jeffreys fit must look that name up for every chunk of proposals.
+    from yulesimon import cli, inference, priors
+
+    log_prior = priors.jeffreys_log_unnormalized
+    calls = []
+
+    def counted(alpha, *args):
+        calls.append(alpha)
+        return log_prior(alpha, *args)
+
+    monkeypatch.setattr(priors, "jeffreys_log_unnormalized", counted)
+    iterations = 2_000
+    argv = ["fit", "--data", "hits", "--prior", "jeffreys", "--seed", "1"]
+    argv += ["--iters", str(iterations), "--burnin", "500", "--out-summary", str(tmp_path / "s.json")]
+    assert cli.main(argv) == 0
+    assert len(calls) >= -(-iterations // inference._CHUNK)
