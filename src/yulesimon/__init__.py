@@ -8,7 +8,7 @@ validation harness, and data pipelines for frequency-table and
 daily-return applications.
 """
 
-from .controls import QuadratureControl, SeriesControl
+from .controls import SeriesControl
 from .data import (
     PriceSeries,
     ReturnSeries,
@@ -68,7 +68,7 @@ from .priors import (
     kl_divergence,
     loss_based_prior,
 )
-from .special import hyp3f2_unit_excess, integrate_unit_interval, log_gamma_ratio
+from .special import hyp3f2_unit_excess, log_gamma_ratio
 
 __version__ = "0.1.0"
 
@@ -85,7 +85,6 @@ def backend_name() -> str:
 __all__ = [
     "backend_name",
     "SeriesControl",
-    "QuadratureControl",
     "PriceSeries",
     "ReturnSeries",
     "ingest_prices",
@@ -135,5 +134,4 @@ __all__ = [
     "loss_based_prior",
     "log_gamma_ratio",
     "hyp3f2_unit_excess",
-    "integrate_unit_interval",
 ]

@@ -1,4 +1,4 @@
-"""Tolerance/budget knobs for series summation and quadrature."""
+"""The tolerance and term budget for series summation."""
 
 from __future__ import annotations
 
@@ -26,18 +26,3 @@ class SeriesControl:
         if self.max_terms < 1:
             raise ValueError(f"max_terms must be >= 1, got {self.max_terms}")
 
-
-@dataclass(frozen=True)
-class QuadratureControl:
-    """Absolute-tolerance budget for adaptive quadrature on (0, 1)."""
-
-    abs_tol: float = 1e-9
-    max_subdivisions: int = 200
-
-    def __post_init__(self):
-        if not self.abs_tol > 0.0:
-            raise ValueError(f"abs_tol must be > 0, got {self.abs_tol}")
-        if self.max_subdivisions < 1:
-            raise ValueError(
-                f"max_subdivisions must be >= 1, got {self.max_subdivisions}"
-            )

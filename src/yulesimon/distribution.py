@@ -36,6 +36,9 @@ __all__ = [
 # U = 0 branch (probability 2^-53 per draw), where the exact draw is +inf.
 _MAX_DRAW = 2**62
 
+# Largest j at which `survival` takes its product form (64 factors).
+_SURVIVAL_PRODUCT_MAX = 65
+
 
 def _check_alpha(alpha: float) -> float:
     alpha = float(alpha)
@@ -151,6 +154,10 @@ def survival(j: int, alpha: float) -> float:
     j = _check_k(j)
     alpha = _check_alpha(alpha)
     c = 1.0 / (1.0 - alpha)
+    if j <= _SURVIVAL_PRODUCT_MAX:
+        # the product of i/(c+i) over i < j, by a sum of logs that do not
+        # cancel, where ln G(c+1) and the gammaln ratio below lose c ln(c) eps
+        return math.exp(-math.fsum(math.log1p(c / i) for i in range(1, j)))
     if c + 1.0 < max(1e4, 1000.0 * (j - 1)):
         return float(math.exp(gammaln(c + 1.0) + log_gamma_ratio(float(j), c)))
     # G(j) G(c+1) / G(c+1+(j-1)): ln G(c+1) and the ratio above cancel as c

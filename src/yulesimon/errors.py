@@ -6,7 +6,7 @@ estimate; nothing silently returns NaN.
 
 
 class NumericError(RuntimeError):
-    """Base class for numerical failures (series, quadrature, domain clamps)."""
+    """Base class for numerical failures (series, quadrature, range checks)."""
 
 
 class SeriesConvergenceError(NumericError):
@@ -19,7 +19,7 @@ class SeriesConvergenceError(NumericError):
 
 
 class QuadratureError(NumericError):
-    """Adaptive quadrature could not certify the requested absolute tolerance."""
+    """A quadrature rule could not certify its tolerance."""
 
     def __init__(self, message, estimate=None, error_bound=None):
         super().__init__(message)

@@ -5,15 +5,15 @@ of t and s, with one Stirling switch per element.  It raises s to the third
 and fourth powers by products, which round alike in scalar and in array
 arithmetic (Python's ``**`` calls C ``pow``, and numpy's vector ``**`` may
 round otherwise), so every element equals the call at that element alone.
-The generalized hypergeometric series at unit argument and the
-unit-interval quadrature are implemented here because their error control
-is load-bearing for the prior construction.  The series is summed over a
-128-term head and closed by Euler-Maclaurin with a Gauss-Laguerre tail
-integral, under a remainder bound; for the Jeffreys family the first head
-always meets the default tolerance, so a call costs the same tens of
-microseconds at every alpha.  One closure, `_excess_estimate`, serves every
-head over arrays of (a, b): `hyp3f2_unit_excess` calls it with one element,
-and the Jeffreys prior with a whole array of alphas.
+The generalized hypergeometric series at unit argument is implemented here
+because its error control is load-bearing for the prior construction.  It
+is summed over a 128-term head and closed by Euler-Maclaurin with a
+Gauss-Laguerre tail integral, under a remainder bound; for the Jeffreys
+family the first head always meets the default tolerance, so a call costs
+the same tens of microseconds at every alpha.  One closure,
+`_excess_estimate`, serves every head over arrays of (a, b):
+`hyp3f2_unit_excess` calls it with one element, and the Jeffreys prior with
+a whole array of alphas.
 
 All functions are pure; safe to call concurrently from any number of
 threads.
@@ -22,18 +22,16 @@ threads.
 from __future__ import annotations
 
 import math
-from typing import Callable
 
 import numpy as np
 import scipy.special
 
-from .controls import QuadratureControl, SeriesControl
-from .errors import QuadratureError, SeriesConvergenceError
+from .controls import SeriesControl
+from .errors import SeriesConvergenceError
 
 __all__ = [
     "log_gamma_ratio",
     "hyp3f2_unit_excess",
-    "integrate_unit_interval",
 ]
 
 
@@ -290,58 +288,3 @@ def hyp3f2_unit_excess(a: float, b: float, ctrl: SeriesControl = SeriesControl()
         (f1,), (bound,) = _excess_estimate(*pair, head, [head_sum])
     return f1
 
-
-def integrate_unit_interval(
-    f: Callable[[float], float], ctrl: QuadratureControl = QuadratureControl()
-) -> float:
-    """Adaptive integral of f over (0, 1) to absolute tolerance ctrl.abs_tol.
-
-    The interval is split at 1 - delta (delta = 0.1) and the right piece is
-    integrated under the substitution alpha = 1 - u^2, which turns an
-    integrable (1-alpha)^(-1/2) endpoint singularity (the Jeffreys density
-    behaves this way near 1) into a smooth integrand.
-
-    Raises QuadratureError with the best estimate and error bound when the
-    tolerance cannot be certified.
-    """
-    # Imported here: scipy.integrate pulls in scipy.optimize, linalg and
-    # sparse, which no other path of the package needs.
-    import scipy.integrate
-
-    delta = 0.1
-
-    def right_piece(u: float) -> float:
-        return 2.0 * u * f(1.0 - u * u)
-
-    pieces = [
-        (f, 0.0, 1.0 - delta),
-        (right_piece, 0.0, math.sqrt(delta)),
-    ]
-    total = 0.0
-    err_total = 0.0
-    for integrand, lo, hi in pieces:
-        out = scipy.integrate.quad(
-            integrand,
-            lo,
-            hi,
-            epsabs=ctrl.abs_tol / 2.0,
-            epsrel=1.49e-12,
-            limit=ctrl.max_subdivisions,
-            full_output=1,
-        )
-        value, abserr = out[0], out[1]
-        if len(out) > 3:  # quadpack appended a warning message
-            raise QuadratureError(
-                f"quadrature failed on [{lo}, {hi}]: {out[3]}",
-                estimate=value,
-                error_bound=abserr,
-            )
-        total += value
-        err_total += abserr
-    if err_total > ctrl.abs_tol:
-        raise QuadratureError(
-            f"requested abs_tol={ctrl.abs_tol} not met (error bound {err_total})",
-            estimate=total,
-            error_bound=err_total,
-        )
-    return total

@@ -13,6 +13,12 @@ TIGHT = SeriesControl(rel_tol=1e-12)
 # Dense 1e6-point midpoint rule with the alpha = 1-u^2 endpoint substitution,
 # series tolerance 1e-10 (one-off oracle run, frozen):
 K_MIDPOINT_ORACLE = 1.8913857052347882
+# K at 30 digits: q(alpha) alpha (1 - alpha) at x = logit alpha, its 3F2 excess
+# summed by Levin `mpmath.nsum` of the series terms, integrated by the
+# trapezoid rule at spacing 1/2 on [-40, 40] plus the geometric tails at the
+# integrand's rates e^x and e^(-x/2) past the end nodes (the same rule at
+# spacing 1 reads 6.2e-8 lower):
+K_LOGIT_REFERENCE = 1.8913857049409672
 
 # KL(0.5 || 0.6) by brute-force summation to k = 1e7 (tail < 1e-12 there):
 KL_05_06_BRUTE = 0.010397540660891
@@ -134,6 +140,35 @@ class TestJeffreys:
 
     def test_normalizer_matches_midpoint_oracle(self):
         assert ys.jeffreys_normalizer() == pytest.approx(K_MIDPOINT_ORACLE, abs=1e-6)
+
+    def test_normalizer_matches_logit_reference(self):
+        assert ys.jeffreys_normalizer() == pytest.approx(K_LOGIT_REFERENCE, rel=0, abs=1e-10)
+
+    def test_normalizer_integrand_tail_rates(self):
+        # the rates behind the rule's geometric tails, at its end nodes
+        def integrand(x):
+            alpha = 1.0 / (1.0 + math.exp(-x))
+            return ys.jeffreys_unnormalized(alpha) * alpha / (1.0 + math.exp(x))
+
+        left = integrand(-40.0) * math.exp(40.0)
+        assert left == pytest.approx(math.sqrt(math.pi**2 / 6.0 - 1.0), rel=1e-12)
+        for x in (15.0, 20.0):
+            assert integrand(x) * math.exp(x / 2.0) == pytest.approx(1.0, rel=0, abs=1e-6)
+
+    def test_normalizer_rule_disagreement_raises(self, monkeypatch):
+        # a factor of 1 +/- 1/2 on alternate nodes: the spacing-1/2 rule sees
+        # only the 3/2 nodes
+        smooth = priors.jeffreys_unnormalized
+
+        def wobbly(alphas, ctrl):
+            x = np.log(alphas / (1.0 - alphas))
+            return smooth(alphas, ctrl) * (1.0 + 0.5 * np.cos(4.0 * np.pi * x))
+
+        monkeypatch.setattr(priors, "jeffreys_unnormalized", wobbly)
+        with pytest.raises(ys.QuadratureError) as err:
+            ys.jeffreys_normalizer()
+        assert err.value.estimate == pytest.approx(K_LOGIT_REFERENCE, rel=1e-2)
+        assert err.value.error_bound == pytest.approx(0.5 * K_LOGIT_REFERENCE, rel=1e-2)
 
     def test_prior_uses_package_series_default(self):
         assert JeffreysPrior().series_ctrl == SeriesControl()

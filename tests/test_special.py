@@ -8,12 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from yulesimon import (
-    QuadratureControl,
-    QuadratureError,
     SeriesControl,
     SeriesConvergenceError,
     hyp3f2_unit_excess,
-    integrate_unit_interval,
     log_gamma_ratio,
 )
 from yulesimon import special
@@ -29,8 +26,6 @@ TRIGAMMA_7P3 = 0.14679576813142708
 HYP3F2_A3_B4 = 1.3044066016340379283  # alpha = 0.5 family member
 HYP3F2_A11_B12 = 1.0901755907769961929  # alpha = 0.9 family member
 HYP3F2_A12_B13 = 1.0827662390753103159
-# integral of sqrt((3-a)/(1-a))/(2-a) over (0,1):
-BOUND_INTEGRAL = math.pi / 3.0 - math.log(2.0 - math.sqrt(3.0))
 
 
 class TestLogGamma:
@@ -378,24 +373,3 @@ class TestLogGammaRatio:
             log_gamma_ratio(t_j, s_j) for t_j, s_j in zip(t.tolist(), s.tolist())
         ]
 
-
-class TestIntegrateUnitInterval:
-    def test_constant(self):
-        assert integrate_unit_interval(lambda a: 1.0) == pytest.approx(1.0, abs=1e-12)
-
-    def test_square(self):
-        assert integrate_unit_interval(lambda a: a * a) == pytest.approx(
-            1.0 / 3.0, abs=1e-10
-        )
-
-    def test_endpoint_singularity_golden(self):
-        f = lambda a: math.sqrt((3.0 - a) / (1.0 - a)) / (2.0 - a)
-        assert integrate_unit_interval(f) == pytest.approx(BOUND_INTEGRAL, abs=1e-9)
-
-    def test_tolerance_failure_reports_estimate(self):
-        # An oscillatory integrand defeats a tiny subdivision budget.
-        f = lambda a: math.sin(500.0 * a)
-        ctrl = QuadratureControl(abs_tol=1e-12, max_subdivisions=2)
-        with pytest.raises(QuadratureError) as err:
-            integrate_unit_interval(f, ctrl)
-        assert err.value.estimate is not None
