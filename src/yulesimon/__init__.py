@@ -8,7 +8,6 @@ validation harness, and data pipelines for frequency-table and
 daily-return applications.
 """
 
-from .controls import SeriesControl
 from .data import (
     PriceSeries,
     ReturnSeries,
@@ -68,7 +67,7 @@ from .priors import (
     kl_divergence,
     loss_based_prior,
 )
-from .special import hyp3f2_unit_excess, log_gamma_ratio
+from .special import SeriesControl, hyp3f2_unit_excess, log_gamma_ratio
 
 __version__ = "0.1.0"
 

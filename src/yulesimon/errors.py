@@ -10,7 +10,7 @@ class NumericError(RuntimeError):
 
 
 class SeriesConvergenceError(NumericError):
-    """A series hit its term cap (or a rounding guard) before reaching tolerance."""
+    """A series' remainder estimate missed its tolerance, or a rounding guard tripped."""
 
     def __init__(self, message, estimate=None, error_bound=None):
         super().__init__(message)

@@ -6,14 +6,10 @@ and fourth powers by products, which round alike in scalar and in array
 arithmetic (Python's ``**`` calls C ``pow``, and numpy's vector ``**`` may
 round otherwise), so every element equals the call at that element alone.
 The generalized hypergeometric series at unit argument is implemented here
-because its error control is load-bearing for the prior construction.  It
-is summed over a 128-term head and closed by Euler-Maclaurin with a
-Gauss-Laguerre tail integral, under a remainder bound; for the Jeffreys
-family the first head always meets the default tolerance, so a call costs
-the same tens of microseconds at every alpha.  One closure,
-`_excess_estimate`, serves every head over arrays of (a, b):
-`hyp3f2_unit_excess` calls it with one element, and the Jeffreys prior with
-a whole array of alphas.
+because its error control is load-bearing for the prior construction.  One
+closure, `_excess_estimate`, sums it over a fixed 128-term head and closes
+it by Euler-Maclaurin with a Gauss-Laguerre tail integral, over arrays of
+(a, b); `hyp3f2_unit_excess` certifies its one-element result or raises.
 
 All functions are pure; safe to call concurrently from any number of
 threads.
@@ -22,17 +18,35 @@ threads.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.special
 
-from .controls import SeriesControl
 from .errors import SeriesConvergenceError
 
 __all__ = [
+    "SeriesControl",
     "log_gamma_ratio",
     "hyp3f2_unit_excess",
 ]
+
+# The package tolerance: a series value is returned only when its remainder
+# estimate is within this much of the sum, relative to it.
+_REL_TOL = 1e-12
+
+
+@dataclass(frozen=True)
+class SeriesControl:
+    """The tolerance of `hyp3f2_unit_excess`: its remainder estimate must be
+    within ``rel_tol`` of the sum, or it raises SeriesConvergenceError.  The
+    priors use the default, 1e-12, which the head meets on their family."""
+
+    rel_tol: float = _REL_TOL
+
+    def __post_init__(self):
+        if not self.rel_tol > 0.0:
+            raise ValueError(f"rel_tol must be > 0, got {self.rel_tol}")
 
 
 def _require_positive(name: str, x: float) -> float:
@@ -99,14 +113,10 @@ def _stirling(t, s):
     ) - (s3 * s / 12.0 - s3 / 6.0 + s2 / 12.0) / (tt * t)
 
 
-# Length of the first 3F2 head.  At this length the remainder estimate is
-# below 7e-14 of the sum on the whole family the package uses, so the
-# default rel_tol = 1e-12 never grows the head.
+# Length of the 3F2 head.  At this length the remainder estimate is below
+# 5e-14 of the sum on the whole family the package uses, so the package
+# tolerance is always met.
 _HEAD = 128
-# Terms per head block (32 KB of floats): a grown head is summed block by
-# block, so its memory does not grow with it.  The first head is one block.
-_HEAD_BLOCK = 4096
-_BLOCK_M = np.arange(_HEAD_BLOCK, dtype=np.float64)
 
 # 16-point Gauss-Laguerre rule for the tail integral, with a node at x = 0
 # (weight 0) prepended so that the same evaluation gives h at the boundary.
@@ -117,37 +127,17 @@ _TAIL_W = np.append(0.0, _LAGUERRE_W * np.exp(_LAGUERRE_X))
 # ln h(t) = lnG(t+1) + lnG(t+a) - 2 lnG(t+b) + const: the weights of its parts
 _LOG_H_SIGNS = np.array([1.0, 1.0, -2.0])
 _ZETA_ORDERS = np.array([[2.0], [3.0]])
-# psi, zeta(2, .) and zeta(3, .) at A + 1 for the first head, A = _HEAD + 1:
+# psi, zeta(2, .) and zeta(3, .) at A + 1 for the 128-term head, A = _HEAD + 1:
 # the part of the derivatives of ln h at A that does not depend on (a, b)
 _PSI_A1 = float(scipy.special.psi(_HEAD + 2.0))
 _ZETA2_A1, _ZETA3_A1 = scipy.special.zeta(_ZETA_ORDERS[:, 0], _HEAD + 2.0).tolist()
 
 
-def _head_sum(
-    a: float, b: float, head: int, start: int = 0, total: float = 0.0, term: float = 1.0
-) -> tuple[float, float]:
-    """Adds the terms l = start+1..head to ``total``, given ``term``, the
-    l = start term; returns the new total and the l = head term.
-
-    The terms are summed in blocks that carry the running term, each block
-    m0 + m over a view m of one constant index array, with m0 folded into
-    the scalars: no index array is built per call.  A grown head continues
-    the last one by passing its total and term back in.
-    """
-    for m0 in range(start, head, _HEAD_BLOCK):
-        m = _BLOCK_M[: head - m0]
-        bm = m + (b + m0)
-        block = ((m + (m0 + 1.0)) * (m + (a + m0)) / (bm * bm)).cumprod()
-        total += term * float(block.sum())
-        term *= float(block[-1])
-    return total, term
-
-
 def _excess_estimate(
-    a: np.ndarray, b: np.ndarray, head: int, head_sum: list[float] | np.ndarray | None = None
+    a: np.ndarray, b: np.ndarray, head: int = _HEAD
 ) -> tuple[list[float], list[float]]:
     """The excess at each (a, b) of two 1-d arrays in the series' domain,
-    summed to l = ``head`` (or given those sums) and closed from A = head + 1.
+    summed to l = ``head`` and closed from A = head + 1.
 
     The terms continue to real t as
     h(t) = G(t+1) G(t+a) G(b)^2 / (G(a) G(t+b)^2), and by Euler-Maclaurin
@@ -166,13 +156,14 @@ def _excess_estimate(
     and, up to a few dozen elements, cost less than the array operations
     they replace.
     """
-    if head_sum is None:  # as _head_sum sums one block
-        bm = _BLOCK_M[:head] + b[:, None]
-        bm *= bm
-        ratios = _BLOCK_M[:head] + a[:, None]
-        ratios *= _BLOCK_M[1 : head + 1]
-        ratios /= bm
-        head_sum = ratios.cumprod(axis=1).sum(axis=1)
+    # the head, by t_{l+1} = t_l (l+1)(a+l)/(b+l)^2 from t_0 = 1
+    m = np.arange(head + 1.0)
+    bm = m[:head] + b[:, None]
+    bm *= bm
+    ratios = m[:head] + a[:, None]
+    ratios *= m[1:]
+    ratios /= bm
+    head_sum = ratios.cumprod(axis=1).sum(axis=1)
 
     # Under t = A e^(x/r) the tail integral is (1/r) times the integral of
     # e^-x [e^x t h(t)] over (0, inf), and the bracket tends to a constant.
@@ -183,18 +174,11 @@ def _excess_estimate(
     shifts[:, 0, 0], shifts[:, 0, 1], shifts[:, 0, 2] = 1.0, a, b
     pairs = zip(a.tolist(), b.tolist())
     log_norm = np.array([2.0 * math.lgamma(y) - math.lgamma(x) for x, y in pairs])
-    if head <= _HEAD:
-        # Plain gammaln differences: their rounding grows like t ln(t) eps,
-        # but the Laguerre weight of a node falls faster (as e^-x against
-        # e^(x/r), r >= 2), so no node's error reaches 1e-13 of the tail
-        # integral.  The Stirling branch of log_gamma_ratio would double the
-        # cost of a call.
-        log_h = scipy.special.gammaln(t[:, :, None] + shifts) @ _LOG_H_SIGNS
-    else:
-        # A grown head puts the last nodes near t = 1e16, where the plain
-        # differences keep no digit at all.
-        log_h = log_gamma_ratio(t + 1.0, b[:, None] - 1.0)
-        log_h += log_gamma_ratio(t + a[:, None], (b - a)[:, None])
+    # Plain gammaln differences: their rounding grows like t ln(t) eps, but
+    # the Laguerre weight of a node falls faster (as e^-x against e^(x/r),
+    # r >= 2), so no node's error reaches 1e-13 of the tail integral.  The
+    # Stirling branch of log_gamma_ratio would double the cost of a call.
+    log_h = scipy.special.gammaln(t[:, :, None] + shifts) @ _LOG_H_SIGNS
     log_h += log_norm[:, None]
     h = np.exp(log_h)
     r_tail = ((t * h)[:, None, :] @ _TAIL_W)[:, 0]  # r times the tail integral
@@ -211,7 +195,7 @@ def _excess_estimate(
     psi = scipy.special.psi(x)[:, 0]
     zeta = scipy.special.zeta(_ZETA_ORDERS, x)
     excesses, bounds = [], []
-    columns = (np.asarray(head_sum), r_tail, r, h[:, 0], psi, zeta)
+    columns = (head_sum, r_tail, r, h[:, 0], psi, zeta)
     for s, r_tail_i, r_i, h_a, (pa, pb), ((z2a, z2b), (z3a, z3b)) in zip(
         *(col.tolist() for col in columns)
     ):
@@ -232,22 +216,14 @@ def hyp3f2_unit_excess(a: float, b: float, ctrl: SeriesControl = SeriesControl()
     when the full series is close to 1.
 
     Head: the first 128 terms, by the recurrence
-    t_{l+1} = t_l (l+1)(a+l)/(b+l)^2.  A grown head continues the last one
-    in blocks of 4,096 terms that carry the running term, so no term is
-    summed twice and the memory stays flat.
-
-    Closure: Euler-Maclaurin from A = head + 1 with a Gauss-Laguerre tail
-    integral, by `_excess_estimate` (which takes arrays) at the one pair (a, b).
+    t_{l+1} = t_l (l+1)(a+l)/(b+l)^2, closed by Euler-Maclaurin from A = 129
+    with a Gauss-Laguerre tail integral (`_excess_estimate` at one pair).
 
     Bound: the result is returned when |h'''(A)|/720, the size of the last
-    closure term, is at most ctrl.rel_tol * (1 + excess); otherwise the head
-    grows x4, up to ctrl.max_terms.  The bound falls no faster than
-    A^-(r+4), so a tolerance that a head of ctrl.max_terms terms would miss
-    even at that rate is refused at once.
-
-    Cost: the 128-term head meets rel_tol = 1e-12 on the whole b = a + 1 >= 3
-    family the package uses, so a call costs the same (about 27 us) at every
-    alpha, and the excess is within a few ulps of 40-digit sums.
+    closure term, is at most ctrl.rel_tol * (1 + excess).  On the whole
+    b = a + 1 >= 3 family the package uses it is below 5e-14 of the sum, so a
+    call costs about 30 us at every alpha and is within a few ulps of 40-digit
+    sums.
 
     Raises
     ------
@@ -256,10 +232,8 @@ def hyp3f2_unit_excess(a: float, b: float, ctrl: SeriesControl = SeriesControl()
         r = 2b - a - 2 < 2 (the quadrature is accurate only for tails at
         least that steep; the family b = a + 1 >= 3 has r = a >= 2).
     SeriesConvergenceError
-        If the bound is not met with a head of ctrl.max_terms terms, cannot
-        be met by one at the bound's fastest decay, or ctrl.max_terms is
-        below the 128-term first head; carries the estimate of the full
-        series and the bound of the last head summed.
+        If the bound is above ctrl.rel_tol * (1 + excess); carries the
+        estimate of the full series and the bound.
     """
     a = _require_positive("a", a)
     b = _require_positive("b", b)
@@ -267,24 +241,12 @@ def hyp3f2_unit_excess(a: float, b: float, ctrl: SeriesControl = SeriesControl()
         raise ValueError(f"series requires b > a for convergence, got a={a}, b={b}")
     if 2.0 * b - a - 2.0 < 2.0:
         raise ValueError(f"tail closure requires 2b - a >= 4, got a={a}, b={b}")
-    pair = np.array([a]), np.array([b])
-    head = min(_HEAD, ctrl.max_terms)
-    head_sum, term = _head_sum(a, b, head)
-    (f1,), (bound,) = _excess_estimate(*pair, head, [head_sum])
-    while not (head >= _HEAD and bound <= ctrl.rel_tol * (1.0 + f1)):
-        # the bound falls like A^-(r+4) at best: the least any head up to
-        # the cap can reach
-        least = bound * ((head + 1.0) / (ctrl.max_terms + 1.0)) ** (2.0 * b - a + 2.0)
-        if head >= ctrl.max_terms or least > ctrl.rel_tol * (1.0 + f1):
-            raise SeriesConvergenceError(
-                f"3F2 series cannot converge within {ctrl.max_terms} terms "
-                f"(a={a}, b={b}, rel_tol={ctrl.rel_tol})",
-                estimate=1.0 + f1,
-                error_bound=bound,
-            )
-        grown = min(4 * head, ctrl.max_terms)
-        head_sum, term = _head_sum(a, b, grown, head, head_sum, term)
-        head = grown
-        (f1,), (bound,) = _excess_estimate(*pair, head, [head_sum])
+    (f1,), (bound,) = _excess_estimate(np.array([a]), np.array([b]))
+    if not bound <= ctrl.rel_tol * (1.0 + f1):
+        raise SeriesConvergenceError(
+            f"3F2 series remainder {bound} exceeds rel_tol={ctrl.rel_tol} "
+            f"of the sum after {_HEAD} terms (a={a}, b={b})",
+            estimate=1.0 + f1,
+            error_bound=bound,
+        )
     return f1
-

@@ -6,9 +6,7 @@ import numpy as np
 import pytest
 
 import yulesimon as ys
-from yulesimon import GridPrior, JeffreysPrior, SeriesControl, priors
-
-TIGHT = SeriesControl(rel_tol=1e-12)
+from yulesimon import GridPrior, JeffreysPrior, priors
 
 # Dense 1e6-point midpoint rule with the alpha = 1-u^2 endpoint substitution,
 # series tolerance 1e-10 (one-off oracle run, frozen):
@@ -33,6 +31,9 @@ KL_09_091_MP = 5.3468907055513032905869208870e-04  # c = 10 against c = 11.1
 # sum_i S_c(i) phi(delta/(c+i)) - phi(delta/c), which give the three values
 # above to every digit shown
 KL_99999_99998_MP = 3.068508879364235118894501285e-06
+# c = 1/0.99 against 100: the head summed to k = 3,000 plus mpmath.sumem for
+# the tail (the same to 28 digits with the split at 20,000)
+KL_001_099_MP = 8.918640032101632182756752269
 
 # Loss-based M=10 masses from a brute-force KL matrix (every pair summed to
 # k = 1e7); agreement tolerance covers the brute matrix's own truncation.
@@ -54,7 +55,7 @@ LOSS10_BRUTE_MASSES = np.array(
 class TestFisherInformation:
     @pytest.mark.parametrize("alpha", [0.1, 0.3, 0.5, 0.7, 0.9])
     def test_matches_brute_force_oracle(self, alpha):
-        closed = ys.fisher_information(alpha, TIGHT)
+        closed = ys.fisher_information(alpha)
         oracle = ys.fisher_information_oracle(alpha, k_max=1_000_000)
         assert abs(closed - oracle.value) / closed < 1e-6
         # truncation bound plus an allowance for float summation noise
@@ -65,14 +66,13 @@ class TestFisherInformation:
         for alpha in (0.3, 0.7):
             oracle = ys.fisher_information_oracle(alpha, k_max=1_000_000)
             c = 1.0 / (1.0 - alpha)
-            series = 1.0 + ys.hyp3f2_unit_excess(c + 1.0, c + 2.0, TIGHT)
+            series = 1.0 + ys.hyp3f2_unit_excess(c + 1.0, c + 2.0)
             expected = (1.0 - alpha) ** 2 / (2.0 - alpha) ** 2 * series
             assert abs(oracle.second_expectation - expected) / expected < 1e-6
 
     def test_strictly_positive_on_dense_grid(self):
-        ctrl = SeriesControl(rel_tol=1e-10)
         for alpha in np.linspace(0.001, 0.999, 120):
-            assert ys.fisher_information(float(alpha), ctrl) > 0.0
+            assert ys.fisher_information(float(alpha)) > 0.0
 
     def test_dense_alpha_mpmath_oracle(self):
         # I(alpha) against the radicand from 40-digit sums of the series terms
@@ -104,35 +104,35 @@ class TestFisherInformation:
             ys.fisher_information_oracle(0.5, k_max=10)
 
     @pytest.mark.parametrize("fn", [ys.fisher_information, ys.jeffreys_log_unnormalized])
-    def test_series_cap_raises_with_estimate(self, fn):
+    def test_uncertified_head_raises_with_estimate(self, fn, monkeypatch):
+        # a tolerance the 128-term head misses at alpha = 0.08
+        monkeypatch.setattr(priors, "_REL_TOL", 1e-20)
         with pytest.raises(ys.SeriesConvergenceError) as err:
-            fn(0.08, SeriesControl(max_terms=100))
-        assert err.value.estimate is not None
-        assert err.value.error_bound > 0.0
+            fn(0.08)
+        assert err.value.estimate > 1.0
+        assert err.value.error_bound > 1e-20 * err.value.estimate
 
 
 class TestJeffreys:
     def test_q_is_sqrt_fisher(self):
         for alpha in (0.2, 0.5, 0.8):
-            q = ys.jeffreys_unnormalized(alpha, TIGHT)
+            q = ys.jeffreys_unnormalized(alpha)
             assert q == pytest.approx(
-                math.sqrt(ys.fisher_information(alpha, TIGHT)), rel=1e-10
+                math.sqrt(ys.fisher_information(alpha)), rel=1e-10
             )
-            assert ys.jeffreys_log_unnormalized(alpha, TIGHT) == pytest.approx(
+            assert ys.jeffreys_log_unnormalized(alpha) == pytest.approx(
                 math.log(q), rel=1e-12
             )
 
     def test_pointwise_properness_bound(self):
         # q(alpha) <= sqrt((3-alpha)/(1-alpha))/(2-alpha), the bound behind
         # the normalizer's upper limit
-        ctrl = SeriesControl(rel_tol=1e-10)
         for alpha in np.linspace(0.005, 0.995, 150):
             bound = math.sqrt((3.0 - alpha) / (1.0 - alpha)) / (2.0 - alpha)
-            assert ys.jeffreys_unnormalized(float(alpha), ctrl) <= bound * (1 + 1e-9)
+            assert ys.jeffreys_unnormalized(float(alpha)) <= bound * (1 + 1e-9)
 
     def test_rising_shape(self):
-        ctrl = SeriesControl(rel_tol=1e-10)
-        assert ys.jeffreys_unnormalized(0.9, ctrl) > ys.jeffreys_unnormalized(0.1, ctrl)
+        assert ys.jeffreys_unnormalized(0.9) > ys.jeffreys_unnormalized(0.1)
 
     def test_normalizer_properness(self):
         k = ys.jeffreys_normalizer()
@@ -160,18 +160,15 @@ class TestJeffreys:
         # only the 3/2 nodes
         smooth = priors.jeffreys_unnormalized
 
-        def wobbly(alphas, ctrl):
+        def wobbly(alphas):
             x = np.log(alphas / (1.0 - alphas))
-            return smooth(alphas, ctrl) * (1.0 + 0.5 * np.cos(4.0 * np.pi * x))
+            return smooth(alphas) * (1.0 + 0.5 * np.cos(4.0 * np.pi * x))
 
         monkeypatch.setattr(priors, "jeffreys_unnormalized", wobbly)
         with pytest.raises(ys.QuadratureError) as err:
             ys.jeffreys_normalizer()
         assert err.value.estimate == pytest.approx(K_LOGIT_REFERENCE, rel=1e-2)
         assert err.value.error_bound == pytest.approx(0.5 * K_LOGIT_REFERENCE, rel=1e-2)
-
-    def test_prior_uses_package_series_default(self):
-        assert JeffreysPrior().series_ctrl == SeriesControl()
 
     def test_normalizer_cached_on_prior(self):
         prior = JeffreysPrior()
@@ -212,70 +209,52 @@ class TestJeffreysArray:
             ys.jeffreys_log_unnormalized(a) for a in alphas.tolist()
         ]
 
-    def test_uncertified_alphas_take_the_scalar_path(self, monkeypatch):
-        # At rel_tol = 1e-15 the first head certifies some alphas and not
-        # others; those go through hyp3f2_unit_excess, which grows the head.
-        ctrl = SeriesControl(rel_tol=1e-15)
+    def test_first_uncertified_alpha_raises(self, monkeypatch):
+        # At a tolerance of 1e-15 the head certifies some alphas and not
+        # others: an array call raises with the first miss's estimate and
+        # bound, and the certified alphas alone return.
         alphas = np.linspace(0.01, 0.99, 50)
-        calls = []
-        series = priors.hyp3f2_unit_excess
+        c = 1.0 / (1.0 - alphas)
+        excesses, bounds = priors._excess_estimate(c + 1.0, c + 2.0)
+        missed = [i for i, (f1, bound) in enumerate(zip(excesses, bounds))
+                  if bound > 1e-15 * (1.0 + f1)]
+        assert 0 < len(missed) < len(alphas)
+        monkeypatch.setattr(priors, "_REL_TOL", 1e-15)
+        with pytest.raises(ys.SeriesConvergenceError) as err:
+            ys.jeffreys_log_unnormalized(alphas)
+        assert err.value.estimate == 1.0 + excesses[missed[0]]
+        assert err.value.error_bound == bounds[missed[0]]
+        assert ys.jeffreys_log_unnormalized(np.delete(alphas, missed)).shape == (50 - len(missed),)
 
-        def spy(a, b, ctrl):
-            calls.append(a)
-            return series(a, b, ctrl)
-
-        expected = [ys.jeffreys_log_unnormalized(a, ctrl) for a in alphas.tolist()]
-        monkeypatch.setattr(priors, "hyp3f2_unit_excess", spy)
-        values = ys.jeffreys_log_unnormalized(alphas, ctrl).tolist()
-        assert 0 < len(calls) < len(alphas)
-        assert values == expected
-
-    def test_nonpositive_radicand_takes_the_scalar_path(self, monkeypatch):
-        # a radicand that rounds to <= 0 is left to hyp3f2_unit_excess, and
-        # the float path raises when it finds one too; here that series is
-        # the real one
-        expected = [ys.jeffreys_log_unnormalized(a) for a in (0.2, 0.5, 0.8, 0.9)]
+    @pytest.mark.parametrize("alpha", [0.5, np.array([0.2, 0.5])])
+    def test_nonpositive_radicand_raises(self, alpha, monkeypatch):
+        # the radicand is provably positive on (0, 1): one that rounds to
+        # <= 0 is reported with its estimate, not clamped
         estimate = priors._excess_estimate
-        calls = []
-        series = priors.hyp3f2_unit_excess
 
-        def inflate_second(a, b, head):
-            f1, bound = estimate(a, b, head)
-            f1[1] = 10.0
+        def inflate_last(a, b):
+            f1, bound = estimate(a, b)
+            f1[-1] = 10.0
             return f1, bound
 
-        def spy(a, b, ctrl):
-            calls.append(a)
-            return series(a, b, ctrl)
+        monkeypatch.setattr(priors, "_excess_estimate", inflate_last)
+        with pytest.raises(ys.SeriesConvergenceError) as err:
+            ys.jeffreys_log_unnormalized(alpha)
+        assert err.value.estimate < 0.0
+        assert err.value.error_bound > 0.0
 
-        monkeypatch.setattr(priors, "_excess_estimate", inflate_second)
-        monkeypatch.setattr(priors, "hyp3f2_unit_excess", spy)
-        alphas = np.array([0.2, 0.5, 0.8, 0.9])
-        assert ys.jeffreys_log_unnormalized(alphas).tolist() == expected
-        assert calls == [1.0 / (1.0 - 0.5) + 1.0]
-
-    def test_scalar_errors_propagate(self):
-        # a head cap below the first head certifies nothing
-        with pytest.raises(ys.SeriesConvergenceError):
-            ys.jeffreys_log_unnormalized(np.full(5, 0.5), SeriesControl(max_terms=64))
+    def test_array_call_raises_with_estimate(self, monkeypatch):
+        # a tolerance the head misses everywhere
+        monkeypatch.setattr(priors, "_REL_TOL", 1e-20)
+        with pytest.raises(ys.SeriesConvergenceError) as err:
+            ys.jeffreys_log_unnormalized(np.full(5, 0.5))
+        assert err.value.estimate > 1.0
+        assert err.value.error_bound > 1e-20 * err.value.estimate
 
     @pytest.mark.parametrize("alphas", [[0.2, 1.0], [0.0, 0.5], [[0.2, 0.3]]])
     def test_domain_errors(self, alphas):
         with pytest.raises(ValueError):
             ys.jeffreys_log_unnormalized(np.array(alphas))
-
-
-def _spy_on_kl_heads(monkeypatch):
-    """Record the head length of every neighbour-KL kernel call."""
-    heads = []
-    kernel = priors._neighbour_kl
-
-    def spy(cs, head):
-        heads.append(head)
-        return kernel(cs, head)
-
-    monkeypatch.setattr(priors, "_neighbour_kl", spy)
-    return heads
 
 
 class TestKlDivergence:
@@ -312,12 +291,6 @@ class TestKlDivergence:
         value = ys.kl_divergence(0.99999, 0.99998)
         assert value == pytest.approx(KL_99999_99998_MP, rel=1e-13, abs=0)
 
-    def test_grown_head_matches_mpmath(self):
-        # the first 128-term head cannot meet rel_tol=1e-20 here, so the
-        # head grows to 2,048 terms
-        value = ys.kl_divergence(0.5, 0.6, SeriesControl(rel_tol=1e-20))
-        assert value == pytest.approx(KL_05_06_MP, rel=1e-13, abs=0)
-
     @pytest.mark.parametrize("head", [8, 32])
     def test_short_head_error_well_inside_estimate(self, head):
         # with its h'''(A)/720 term the closure misses by a few percent of
@@ -325,41 +298,21 @@ class TestKlDivergence:
         goldens = {(0.5, 0.6): KL_05_06_MP, (0.037, 0.036): KL_037_036_MP,
                    (0.9, 0.91): KL_09_091_MP}
         for (a, b), golden in goldens.items():
-            kl, remainder = priors._neighbour_kl(np.array([1 / (1 - a), 1 / (1 - b)]), head)
+            kl, remainder = priors._neighbour_kl(np.array([a, b]), head)
             assert abs(kl[0, 0] - golden) <= 0.1 * remainder[0, 0]
 
-    def test_tight_tolerance_grows_the_head(self, monkeypatch):
-        heads = _spy_on_kl_heads(monkeypatch)
-        ys.kl_divergence(0.5, 0.6, SeriesControl(rel_tol=1e-20))
-        assert heads[0] == priors._KL_HEAD
-        assert len(heads) > 1 and heads[-1] > priors._KL_HEAD
-
-    @pytest.mark.parametrize("m", [10, 1000])
-    def test_grown_head_continues_the_last(self, m, monkeypatch):
-        # a head grown from 128 to 512 terms evaluates only terms 129..512
-        # (plus the 17 closure nodes and phi(delta/c)) in each direction, and
-        # agrees with a 512-term head summed from term 1
-        support = np.arange(1, m) / m
-        cs = 1.0 / (1.0 - support)
-        state = priors._KlHead(cs, np.diff(cs))
-        priors._neighbour_kl(state, priors._KL_HEAD)
-        evaluated = []
-        phi = priors._phi
-        monkeypatch.setattr(priors, "_phi", lambda x: evaluated.append(x.size) or phi(x))
-        grown, grown_rem = priors._neighbour_kl(state, 4 * priors._KL_HEAD)
-        assert sum(evaluated) == 2 * (m - 2) * (3 * priors._KL_HEAD + 17 + 1)  # m-2 pairs
-        assert state.terms == 4 * priors._KL_HEAD
-        fresh, fresh_rem = priors._neighbour_kl(cs, 4 * priors._KL_HEAD)
-        np.testing.assert_allclose(grown, fresh, rtol=1e-14, atol=0)
-        np.testing.assert_allclose(grown_rem, fresh_rem, rtol=1e-14, atol=0)
-
-    def test_cap_below_first_head_raises(self):
-        # 100 terms would meet the tolerance at c = 10, but as in the 3F2
-        # series a cap below the first head is refused
-        with pytest.raises(ys.SeriesConvergenceError):
-            ys.kl_divergence(0.9, 0.91, SeriesControl(max_terms=100))
-        value = ys.kl_divergence(0.9, 0.91, SeriesControl(max_terms=200))
-        assert value == pytest.approx(KL_09_091_MP, rel=1e-12, abs=0)
+    def test_uncertified_head_raises_with_estimate(self, monkeypatch):
+        # a far pair with one end near 1 misses the package tolerance, and a
+        # neighbour pair misses a tighter one
+        with pytest.raises(ys.SeriesConvergenceError) as err:
+            ys.kl_divergence(0.01, 0.99)
+        assert err.value.estimate[0, 0] == pytest.approx(KL_001_099_MP, rel=1e-13, abs=0)
+        assert err.value.error_bound > 1e-12 * err.value.estimate[0, 0]
+        monkeypatch.setattr(priors, "_REL_TOL", 1e-20)
+        with pytest.raises(ys.SeriesConvergenceError) as err:
+            ys.kl_divergence(0.5, 0.6)
+        assert err.value.estimate[0, 0] == pytest.approx(KL_05_06_MP, rel=1e-13, abs=0)
+        assert err.value.error_bound > 0.0
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
@@ -401,12 +354,14 @@ class TestLossBasedPrior:
         np.testing.assert_allclose(ys.loss_based_prior(m).masses, expected, rtol=1e-9)
 
     @pytest.mark.parametrize("m", [10, 100, 1000, 10_000])
-    def test_first_head_certifies(self, m, monkeypatch):
-        # the cost guard: the default tolerance is met by one kernel call on
-        # the first head, without growing it
-        heads = _spy_on_kl_heads(monkeypatch)
-        ys.loss_based_prior(m)
-        assert heads == [priors._KL_HEAD]
+    def test_first_head_certifies(self, m):
+        # the head meets the package tolerance on every neighbour pair with a
+        # margin (the worst remainder is 2.7e-14 of its KL up to M = 10^6),
+        # so the prior does not raise
+        support = np.arange(1, m) / m
+        kl, remainder = priors._neighbour_kl(support)
+        assert np.all(remainder <= 3e-14 * np.abs(kl))
+        assert ys.loss_based_prior(m).m == m
 
     @pytest.mark.parametrize("m, bound", [(1000, 1.5e-5), (10_000, 1.5e-7)])
     def test_symmetric_kl_matches_fisher_information(self, m, bound):
@@ -414,7 +369,7 @@ class TestLossBasedPrior:
         # I(mid)/(2 M^2) from the 3F2 route; they differ by O(1/M^2),
         # measured at 1.0e-5 (M = 1,000) and 1.0e-7 (M = 10^4)
         support = np.arange(1, m) / m
-        kl = priors._certified_neighbour_kl(support, SeriesControl())
+        kl = priors._certified_neighbour_kl(support)
         mid = (support[:-1] + support[1:]) / 2.0
         inside = (mid > 0.1) & (mid < 0.9)
         fisher = np.array([ys.fisher_information(float(a)) for a in mid[inside]])
@@ -433,10 +388,13 @@ class TestLossBasedPrior:
         assert peak < 50e6
         assert abs(prior.masses.sum() - 1.0) <= 1e-12
 
-    def test_series_cap_raises_with_estimate(self):
+    def test_uncertified_head_raises_with_estimate(self, monkeypatch):
+        # a tolerance the head misses: the error carries the neighbour KLs
+        monkeypatch.setattr(priors, "_REL_TOL", 1e-20)
         with pytest.raises(ys.SeriesConvergenceError) as err:
-            ys.loss_based_prior(10, SeriesControl(max_terms=64))
-        assert err.value.estimate is not None
+            ys.loss_based_prior(10)
+        kl, _ = priors._neighbour_kl(np.arange(1, 10) / 10)
+        np.testing.assert_array_equal(err.value.estimate, kl)
         assert err.value.error_bound > 0.0
 
     def test_deterministic_bit_identical(self):
