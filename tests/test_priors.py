@@ -170,6 +170,19 @@ class TestJeffreys:
         assert err.value.estimate == pytest.approx(K_LOGIT_REFERENCE, rel=1e-2)
         assert err.value.error_bound == pytest.approx(0.5 * K_LOGIT_REFERENCE, rel=1e-2)
 
+    def test_prior_reads_package_tolerance(self, monkeypatch):
+        # one tolerance for every path: under a tolerance the head misses,
+        # the prior's values and its normalizer raise the series error
+        # itself, not a quadrature error
+        monkeypatch.setattr(priors, "_REL_TOL", 1e-20)
+        prior = JeffreysPrior()
+        with pytest.raises(ys.SeriesConvergenceError):
+            prior.log_unnormalized(0.3)
+        with pytest.raises(ys.SeriesConvergenceError) as err:
+            prior.normalizer()
+        assert err.value.estimate > 1.0
+        assert err.value.error_bound > 1e-20 * err.value.estimate
+
     def test_normalizer_cached_on_prior(self):
         prior = JeffreysPrior()
         first = prior.normalizer()
@@ -251,6 +264,16 @@ class TestJeffreysArray:
         assert err.value.estimate > 1.0
         assert err.value.error_bound > 1e-20 * err.value.estimate
 
+    def test_float_and_array_errors_agree(self, monkeypatch):
+        # a float call is the array call at one alpha, its error included
+        monkeypatch.setattr(priors, "_REL_TOL", 1e-20)
+        errors = []
+        for alpha in (0.3, np.array([0.3]), np.array([0.3, 0.6])):
+            with pytest.raises(ys.SeriesConvergenceError) as err:
+                ys.jeffreys_log_unnormalized(alpha)
+            errors.append((err.value.estimate, err.value.error_bound))
+        assert errors[0] == errors[1] == errors[2]
+
     @pytest.mark.parametrize("alphas", [[0.2, 1.0], [0.0, 0.5], [[0.2, 0.3]]])
     def test_domain_errors(self, alphas):
         with pytest.raises(ValueError):
@@ -313,6 +336,34 @@ class TestKlDivergence:
             ys.kl_divergence(0.5, 0.6)
         assert err.value.estimate[0, 0] == pytest.approx(KL_05_06_MP, rel=1e-13, abs=0)
         assert err.value.error_bound > 0.0
+
+    @pytest.mark.parametrize("pair", [(0.01, 0.97), (0.4, 0.99), (0.8, 1.0 - 1e-6)])
+    def test_far_pair_near_one_raises(self, pair):
+        # the first pairs past the head's reach at the package tolerance
+        # (relative remainders 1.3e-12, 1.3e-12 and 1.7e-12): the error
+        # carries the head's KLs and the largest remainder
+        kl, remainder = priors._neighbour_kl(np.array(pair))
+        with pytest.raises(ys.SeriesConvergenceError) as err:
+            ys.kl_divergence(*pair)
+        np.testing.assert_array_equal(err.value.estimate, kl)
+        assert err.value.error_bound == remainder.max() > 1e-12 * kl[0, 0]
+
+    @pytest.mark.parametrize("pair", [(0.01, 0.96), (0.4, 0.98)])
+    def test_far_pair_inside_tolerance_returns(self, pair):
+        # the pairs just inside the head's reach return its value, which a
+        # 4,096-term head confirms to a few ulps
+        longer, _ = priors._neighbour_kl(np.array(pair), 4096)
+        assert ys.kl_divergence(*pair) == pytest.approx(longer[0, 0], rel=1e-15, abs=0)
+
+    def test_longer_head_matches_mpmath(self):
+        # the closure from 512 and 2,048 terms lands on the golden too, with
+        # remainder estimates that fall with the head
+        remainders = []
+        for head in (priors._KL_HEAD, 4 * priors._KL_HEAD, 16 * priors._KL_HEAD):
+            kl, remainder = priors._neighbour_kl(np.array([0.5, 0.6]), head)
+            assert kl[0, 0] == pytest.approx(KL_05_06_MP, rel=1e-13, abs=0)
+            remainders.append(remainder[0, 0])
+        assert remainders[0] > remainders[1] > remainders[2] > 0.0
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ from yulesimon import (
     hyp3f2_unit_excess,
     log_gamma_ratio,
 )
+from yulesimon import special
 from yulesimon.special import _HEAD, _excess_estimate
 
 TIGHT = SeriesControl(rel_tol=1e-12)
@@ -158,6 +160,34 @@ class TestHyp3f2:
         assert err.value.estimate == 1.0 + first
         assert err.value.error_bound == bound > 1e-20 * (1.0 + first)
 
+    def test_unreachable_tolerance_raises_with_accurate_sum(self):
+        # 1e-60 is out of reach of the head, and the estimate the error
+        # carries is still that of a 16 x longer head to a few ulps
+        longer, _ = _closure_at(2.003, 3.003, 16 * _HEAD)
+        with pytest.raises(SeriesConvergenceError) as err:
+            hyp3f2_unit_excess(2.003, 3.003, SeriesControl(rel_tol=1e-60))
+        assert err.value.estimate == pytest.approx(1.0 + longer, rel=1e-14, abs=0)
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.9])
+    def test_tolerance_at_the_bound_returns(self, alpha):
+        # the value is returned when bound <= rel_tol (1 + excess), and the
+        # call raises when rel_tol is a hair below that
+        c = 1.0 / (1.0 - alpha)
+        excess, bound = _closure_at(c + 1.0, c + 2.0, _HEAD)
+        at_bound = bound / (1.0 + excess)
+        assert hyp3f2_unit_excess(c + 1.0, c + 2.0, SeriesControl(rel_tol=at_bound)) == excess
+        with pytest.raises(SeriesConvergenceError):
+            hyp3f2_unit_excess(c + 1.0, c + 2.0, SeriesControl(rel_tol=at_bound * (1.0 - 1e-12)))
+
+    @pytest.mark.parametrize("factor", [16, 256])
+    def test_much_longer_head_matches_first_head(self, factor):
+        # alpha = 0.003, where the terms fall slowest (r = 2.003): heads of
+        # 2,048 and 32,768 terms agree with the first to its bound
+        first, bound = _closure_at(2.003, 3.003, _HEAD)
+        longer, longer_bound = _closure_at(2.003, 3.003, factor * _HEAD)
+        assert longer_bound < bound
+        assert abs(first - longer) <= bound + 4.0 * np.finfo(float).eps * (1.0 + longer)
+
     def test_shallow_tail_domain_error(self):
         # 2b - a - 2 = 0.7: the Gauss-Laguerre closure needs a decay rate >= 2
         with pytest.raises(ValueError):
@@ -245,6 +275,29 @@ class TestHyp3f2Array:
         whole, _ = _excess_estimate(a, b, _HEAD)
         for i in (0, 17, 59):
             assert _excess_estimate(a[i : i + 1], b[i : i + 1], _HEAD)[0][0] == whole[i]
+
+
+    def test_longer_head_elements_match_one_element_calls(self):
+        # past the first head psi and zeta at A + 1 are computed per call
+        # rather than taken from the module constants
+        a, b = _jeffreys_family(np.random.default_rng(5).uniform(1e-3, 0.999, 30))
+        excesses, bounds = _excess_estimate(a, b, 16 * _HEAD)
+        for x, y, excess, bound in zip(a.tolist(), b.tolist(), excesses, bounds):
+            assert _closure_at(x, y, 16 * _HEAD) == (excess, bound)
+
+
+class TestSeriesControl:
+    @pytest.mark.parametrize("rel_tol", [0.0, -1e-12, math.nan])
+    def test_rejects_nonpositive_rel_tol(self, rel_tol):
+        with pytest.raises(ValueError):
+            SeriesControl(rel_tol=rel_tol)
+
+    def test_rel_tol_is_the_only_field(self):
+        # the default is the package tolerance the priors certify to
+        assert [f.name for f in dataclasses.fields(SeriesControl)] == ["rel_tol"]
+        assert SeriesControl().rel_tol == special._REL_TOL == 1e-12
+        with pytest.raises(TypeError):
+            SeriesControl(max_terms=1000)
 
 
 class TestLogGammaRatio:
